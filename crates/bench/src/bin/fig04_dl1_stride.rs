@@ -8,11 +8,12 @@ fn main() {
         "fig04_dl1_stride",
         "Figure 4: disabling the DL1 stride prefetcher",
         |page, cores| {
-            // The ablation empties the L1D prefetch site (the refactored
-            // form of the old `dl1_stride = false` toggle).
-            let mut c = SimConfig::baseline(page, cores);
-            c.l1_prefetcher = None;
-            c
+            SimConfig::builder()
+                .page(page)
+                .cores(cores)
+                .no_l1_prefetcher()
+                .build()
+                .expect("a baseline with an empty L1 site is valid")
         },
     )
     .run_and_emit();

@@ -21,7 +21,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --bin ingest`
 
-use bosim::{SimConfig, SimResult, System};
+use bosim::{ExecMode, SimConfig, SimResult, System};
 use bosim_bench::Experiment;
 use bosim_trace::{
     addr, capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, SampleSpec, TraceFormat,
@@ -145,14 +145,13 @@ fn main() {
     let fast = System::new(&window, champsim_bench).run();
     let naive = System::new(
         &SimConfig {
-            fast_forward: false,
-            naive_hot_path: true,
+            exec: ExecMode::Naive,
             ..window.clone()
         },
         champsim_bench,
     )
     .run();
-    // Config labels differ only through the hot-path flags (not part of
+    // Config labels differ only through the execution mode (not part of
     // the label); the counters must be bit-identical.
     if fast != naive {
         eprintln!(

@@ -4,10 +4,10 @@
 //! cycle-accurate model, so *simulator* throughput — sim-cycles/sec and
 //! µops/sec of wall-clock time — bounds how many scenarios are
 //! explorable. This module measures it: every benchmark runs twice on
-//! identical configurations, once with the naive every-cycle system loop
-//! ([`SimConfig::fast_forward`] off) and once with idle-stretch
-//! fast-forwarding (the default), and the two [`SimResult`]s are
-//! asserted bit-identical before any rate is reported. The output rides
+//! identical configurations, once in [`ExecMode::Naive`] (every source
+//! ticks every cycle) and once in [`ExecMode::Scheduled`] (the default
+//! event-wheel loop), and the two [`SimResult`]s are asserted
+//! bit-identical before any rate is reported. The output rides
 //! the existing [`Report`] machinery: `BENCH_throughput.json` lands in
 //! the report directory next to the figure reports.
 //!
@@ -15,7 +15,7 @@
 //! bandwidth and turn the wall-clock numbers into noise.
 
 use crate::report::{ArmReport, Layout, Report, RunSummary};
-use bosim::{prefetchers, SimConfig, SimResult, System};
+use bosim::{prefetchers, ExecMode, SimConfig, SimResult, System};
 use bosim_trace::BenchmarkSpec;
 use std::time::Instant;
 
@@ -67,9 +67,9 @@ pub fn measure(cfg: &SimConfig, bench: &BenchmarkSpec) -> ThroughputMeasurement 
 /// A naive/optimized measurement pair for one benchmark.
 #[derive(Debug, Clone)]
 pub struct ThroughputPair {
-    /// Every-cycle loop (`fast_forward` off).
+    /// Every-cycle loop ([`ExecMode::Naive`]).
     pub naive: ThroughputMeasurement,
-    /// Fast-forwarding loop (`fast_forward` on).
+    /// Event-wheel loop ([`ExecMode::Scheduled`]).
     pub optimized: ThroughputMeasurement,
 }
 
@@ -89,7 +89,7 @@ impl ThroughputPair {
 /// # Panics
 ///
 /// Panics if any benchmark's naive and optimized runs disagree on any
-/// counter of the measured window — fast-forwarding must be invisible
+/// counter of the measured window — the scheduled loop must be invisible
 /// in the results, and a throughput number for a *different* simulation
 /// would be meaningless.
 pub fn measure_suite(
@@ -104,12 +104,14 @@ pub fn measure_suite(
         warm.measure_instructions = 20_000;
         let _ = measure(&warm, first);
     }
-    let mut naive_cfg = base.clone();
-    naive_cfg.fast_forward = false;
-    naive_cfg.naive_hot_path = true;
-    let mut opt_cfg = base.clone();
-    opt_cfg.fast_forward = true;
-    opt_cfg.naive_hot_path = false;
+    let naive_cfg = SimConfig {
+        exec: ExecMode::Naive,
+        ..base.clone()
+    };
+    let opt_cfg = SimConfig {
+        exec: ExecMode::Scheduled,
+        ..base.clone()
+    };
     benches
         .iter()
         .map(|bench| {
@@ -125,7 +127,7 @@ pub fn measure_suite(
                 let o = measure(&opt_cfg, bench);
                 assert_eq!(
                     n.result, o.result,
-                    "{}: fast-forward must be cycle-exact",
+                    "{}: the scheduled loop must be cycle-exact",
                     bench.name
                 );
                 assert_eq!(n.sim_cycles, o.sim_cycles, "{}", bench.name);

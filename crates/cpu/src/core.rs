@@ -174,7 +174,6 @@ struct RobEntry {
 }
 
 const EV_LOAD_ISSUE: u8 = 0;
-const EV_RESOLVE: u8 = 1;
 
 const PORT_RING: usize = 256;
 
@@ -912,7 +911,6 @@ impl Core {
             self.events.pop();
             match kind {
                 EV_LOAD_ISSUE => self.load_issue(seq, t.max(now), out),
-                EV_RESOLVE => {}
                 _ => unreachable!("unknown event kind"),
             }
         }

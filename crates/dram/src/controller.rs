@@ -246,7 +246,11 @@ impl Channel {
         let would_start_batch = self.writes_left == 0
             && writes > 0
             && (any_full || (reads == 0 && writes >= cfg.write_batch));
-        if would_start_batch || (self.writes_left > 0 && writes == 0) {
+        // So does a steady-mode switch of the served core: it happens at
+        // the next boundary whatever the bank timers say, and the pick
+        // it commits steers every later read.
+        let would_switch = self.writes_left == 0 && self.pick_served() != self.served;
+        if would_start_batch || would_switch || (self.writes_left > 0 && writes == 0) {
             fold(boundary(from));
             return next;
         }
@@ -858,6 +862,61 @@ mod prop_tests {
                 }
             }
             assert!(expected.is_empty(), "reads left pending: {expected:?}");
+        }
+    }
+
+    /// The skip contract of [`MemorySystem::next_event`]: a memory system
+    /// ticked only at its bound (and after each enqueue) completes the
+    /// same reads on the same cycles, with the same statistics, as one
+    /// ticked every cycle. Requests from several cores cluster on a few
+    /// rows, so row hits, conflicts and served-core switches all occur.
+    #[test]
+    fn prop_ticking_only_at_the_bound_matches_every_cycle() {
+        let mut rng = SplitMix64::new(0x5C1F);
+        for case in 0..24u64 {
+            let cores = 2 + (case % 3) as usize;
+            let cfg = MemConfig {
+                num_cores: cores,
+                ..Default::default()
+            };
+            let mut every = MemorySystem::new(cfg.clone());
+            let mut skip = MemorySystem::new(cfg);
+            let (mut done_every, mut done_skip) = (Vec::new(), Vec::new());
+            let mut out = Vec::new();
+            let mut wake = 0;
+            let mut id = 0u64;
+            for now in 0..30_000u64 {
+                every.tick(now, true, &mut out);
+                done_every.extend(out.drain(..).map(|c| (now, c.id)));
+                let ticked = now >= wake;
+                if ticked {
+                    skip.tick(now, true, &mut out);
+                    done_skip.extend(out.drain(..).map(|c| (now, c.id)));
+                }
+                let enqueue = now < 20_000 && rng.chance(1, 12);
+                if enqueue {
+                    let row = rng.next_below(6) << 11;
+                    let line = LineAddr((row | rng.next_below(64)) * 17 + case);
+                    let core = CoreId(rng.next_below(cores as u64) as u8);
+                    if rng.chance(1, 4) {
+                        assert_eq!(
+                            every.enqueue_write(line, core, now),
+                            skip.enqueue_write(line, core, now)
+                        );
+                    } else if !every.has_pending_read(line) {
+                        assert_eq!(
+                            every.enqueue_read(line, core, id, now),
+                            skip.enqueue_read(line, core, id, now)
+                        );
+                        id += 1;
+                    }
+                }
+                if ticked || enqueue {
+                    wake = skip.next_event(now + 1).unwrap_or(Cycle::MAX);
+                }
+            }
+            assert_eq!(done_every, done_skip, "case {case}: completions diverged");
+            assert_eq!(every.stats(), skip.stats(), "case {case}");
         }
     }
 }

@@ -61,15 +61,9 @@ pub const WALL_CLOCK_FILES: [&str; 3] = [
     "crates/obs/src/profile.rs",
 ];
 
-/// The one library module in the determinism-sensitive crates allowed
-/// to spawn threads (rule D004): the deterministic barrier rendezvous.
-/// Everywhere else, worker threads could leak host scheduling order
-/// into simulated results and need a justified allow-pragma.
-pub const THREAD_SPAWN_FILES: [&str; 1] = ["crates/sim/src/barrier.rs"];
-
 impl SourceFile {
     /// Classifies a workspace-relative path. Returns `None` for files
-    /// the lint does not scan (lint fixtures, criterion benches).
+    /// the lint does not scan (lint fixtures, bench targets).
     pub fn classify(path: &str) -> Option<SourceFile> {
         if !path.ends_with(".rs")
             || path.contains("/fixtures/")
@@ -115,10 +109,6 @@ impl SourceFile {
 
     fn may_read_wall_clock(&self) -> bool {
         WALL_CLOCK_FILES.contains(&self.path.as_str())
-    }
-
-    fn may_spawn_threads(&self) -> bool {
-        THREAD_SPAWN_FILES.contains(&self.path.as_str())
     }
 }
 
@@ -286,12 +276,14 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
                 fire(Rule::D003, t.line, format!("unseeded randomness: {name}"));
             }
             // `thread::spawn` / `thread::scope` / `thread::Builder` —
-            // yield_now/available_parallelism don't create threads and
-            // stay legal everywhere.
+            // worker threads could leak host scheduling order into
+            // simulated results, so every spawn in a determinism-sensitive
+            // library needs a justified allow-pragma. yield_now and
+            // available_parallelism don't create threads and stay legal
+            // everywhere.
             "thread"
                 if file.kind == FileKind::Lib
                     && file.is_determinism_sensitive()
-                    && !file.may_spawn_threads()
                     && next.is_some_and(|n| n.is_punct(':'))
                     && next2.is_some_and(|n| n.is_punct(':'))
                     && next3.is_some_and(|n| {
@@ -303,8 +295,8 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
                     Rule::D004,
                     t.line,
                     format!(
-                        "thread::{what} in determinism-sensitive crate `{}` outside \
-                         the barrier module (scheduling order may leak into results)",
+                        "thread::{what} in determinism-sensitive crate `{}` without a \
+                         justified allow-pragma (scheduling order may leak into results)",
                         file.krate
                     ),
                 );
@@ -646,18 +638,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawning_is_confined_to_the_barrier_module() {
+    fn thread_spawning_needs_a_justified_pragma() {
         for src in [
             "pub fn f() { std::thread::spawn(|| {}); }",
             "pub fn f() { std::thread::scope(|s| {}); }",
             "pub fn f() { let b = std::thread::Builder::new(); }",
         ] {
-            let v = lint("crates/sim/src/uncore.rs", src);
-            assert_eq!(v.len(), 1, "{src}");
-            assert_eq!(v[0].rule, Rule::D004, "{src}");
-            // The barrier module is the sanctioned home…
-            assert!(lint("crates/sim/src/barrier.rs", src).is_empty(), "{src}");
-            // …and non-sensitive crates may thread freely.
+            // No file of a determinism-sensitive crate is exempt…
+            for path in ["crates/sim/src/uncore.rs", "crates/sim/src/system.rs"] {
+                let v = lint(path, src);
+                assert_eq!(v.len(), 1, "{path}: {src}");
+                assert_eq!(v[0].rule, Rule::D004, "{path}: {src}");
+            }
+            // …while non-sensitive crates may thread freely.
             assert!(lint("crates/bench/src/runner.rs", src).is_empty(), "{src}");
         }
         // Non-spawning thread APIs stay legal everywhere.

@@ -27,8 +27,8 @@ pub enum Rule {
     D002,
     /// Unseeded randomness (`RandomState`, `thread_rng`, …).
     D003,
-    /// `std::thread` spawning in a determinism-sensitive crate outside
-    /// the barrier module.
+    /// `std::thread` spawning in a determinism-sensitive crate without a
+    /// justified allow-pragma.
     D004,
     /// `.unwrap()` in library code.
     P001,
@@ -107,10 +107,9 @@ impl Rule {
                  all stochastic behaviour must flow from an explicit seed"
             }
             Rule::D004 => {
-                "std::thread spawning in a determinism-sensitive crate outside \
-                 crates/sim/src/barrier.rs: ad-hoc threading can leak scheduling \
-                 order into results — use the barrier rendezvous, or justify \
-                 with an allow-pragma"
+                "std::thread spawning in a determinism-sensitive crate: threading \
+                 can leak scheduling order into results — every spawn needs an \
+                 allow-pragma arguing why scheduling cannot reach a SimResult"
             }
             Rule::P001 => ".unwrap() in library code (use typed errors or an allow-pragma)",
             Rule::P002 => ".expect(…) in library code (use typed errors or an allow-pragma)",

@@ -33,6 +33,22 @@ use std::fmt;
 /// the [`CoreId`](bosim_types::CoreId) encoding (a `u8`).
 pub const MAX_CORES: usize = 256;
 
+/// How [`System`](crate::System) executes the cycle loop. Both modes
+/// run the same per-cycle body and produce bit-identical
+/// [`SimResult`](crate::SimResult)s; only wall-clock time differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// The event-wheel loop: each source (the uncore, every core) ticks
+    /// only on cycles it may have work, whole-system idle stretches are
+    /// skipped, the uncore queues are indexed and µops are decoded in
+    /// batches.
+    Scheduled,
+    /// The golden-stats reference: every source ticks every cycle with
+    /// no skipping, the uncore polls every subsystem with linear-scan
+    /// queues, and µops are decoded one at a time.
+    Naive,
+}
+
 /// One full-system simulation configuration.
 ///
 /// `Default` is the paper's baseline (Table 1): 4KB pages, one active
@@ -90,28 +106,12 @@ pub struct SimConfig {
     pub measure_instructions: u64,
     /// Master seed (translation hashes, policy randomisation).
     pub seed: u64,
-    /// Fast-forward through provably idle stretches: when every core and
-    /// the whole uncore report no work before a known future cycle, the
-    /// system loop jumps straight to it. Cycle-exact — results are
-    /// bit-identical with the naive every-cycle loop (the golden-stats
-    /// test pins this) — so it defaults to on; the throughput harness
-    /// turns it off to measure the naive baseline.
-    pub fast_forward: bool,
-    /// Naive hot path: linear CAM scans in the fill/prefetch queues and
-    /// full per-cycle polling of every uncore subsystem — the pre-
-    /// optimization behaviour. Cycle-exact identical results, much
-    /// slower; exists purely as the throughput harness's baseline.
-    pub naive_hot_path: bool,
-    /// Host threads for the parallel core-tick phase of the scheduled
-    /// (event-wheel) loop. `1` (the default) ticks every core on the
-    /// main thread; `0` means "use the host's available parallelism";
-    /// values are clamped to the active core count. Parallel ticking
-    /// rendezvous at a deterministic barrier every cycle and applies
-    /// uncore effects in fixed core-ID order, so results are
-    /// bit-identical to the serial path whatever the thread count —
-    /// only wall-clock time changes. Ignored (serial) when
-    /// [`fast_forward`](Self::fast_forward) is off.
-    pub tick_threads: usize,
+    /// How the system loop executes (see [`ExecMode`]). Both modes
+    /// produce bit-identical results — the golden-stats suite pins it —
+    /// so the default is the fast [`ExecMode::Scheduled`] loop; the
+    /// throughput harness and the golden tests select
+    /// [`ExecMode::Naive`] as the reference.
+    pub exec: ExecMode,
     /// Adaptive prefetch control: when set, the system slices the run
     /// into epochs, distils the uncore's usefulness counters into
     /// [`bosim_adapt::EpochFeedback`], and lets the configured
@@ -155,9 +155,7 @@ impl Default for SimConfig {
             warmup_instructions: default_warmup(),
             measure_instructions: default_instructions(),
             seed: 0xB05EED,
-            fast_forward: true,
-            naive_hot_path: false,
-            tick_threads: 1,
+            exec: ExecMode::Scheduled,
             adapt: None,
             sample: None,
             obs: ObsConfig::default(),
@@ -547,20 +545,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables the DL1 stride prefetcher.
-    ///
-    /// Deprecated shim: the two pre-refactor toggles
-    /// (`SimConfig.dl1_stride` and `CoreConfig.stride_prefetcher`)
-    /// collapsed into the L1D prefetch site. `dl1_stride(true)` installs
-    /// the default [`prefetchers::stride`] spec,
-    /// `dl1_stride(false)` empties the site — prefer
-    /// [`l1_prefetcher`](Self::l1_prefetcher) /
-    /// [`no_l1_prefetcher`](Self::no_l1_prefetcher) in new code.
-    pub fn dl1_stride(mut self, enabled: bool) -> Self {
-        self.cfg.l1_prefetcher = enabled.then(prefetchers::stride_default);
-        self
-    }
-
     /// Core parameters.
     pub fn core(mut self, core: CoreConfig) -> Self {
         self.cfg.core = core;
@@ -626,28 +610,6 @@ impl SimConfigBuilder {
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Enables or disables idle-stretch fast-forwarding (on by default;
-    /// see [`SimConfig::fast_forward`]).
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.cfg.fast_forward = enabled;
-        self
-    }
-
-    /// Selects the naive (linear-scan, fully-polled) hot path — the
-    /// throughput harness's baseline (see [`SimConfig::naive_hot_path`]).
-    pub fn naive_hot_path(mut self, enabled: bool) -> Self {
-        self.cfg.naive_hot_path = enabled;
-        self
-    }
-
-    /// Sets the host thread count for the parallel core-tick phase
-    /// (`0` = host parallelism, `1` = serial; results are bit-identical
-    /// either way — see [`SimConfig::tick_threads`]).
-    pub fn tick_threads(mut self, threads: usize) -> Self {
-        self.cfg.tick_threads = threads;
         self
     }
 
@@ -848,20 +810,21 @@ mod tests {
     }
 
     #[test]
-    fn dl1_stride_shim_drives_the_l1_site() {
-        let on = SimConfig::builder()
-            .dl1_stride(true)
+    fn l1_site_builders_build_the_same_machine_as_the_fields() {
+        let stride = SimConfig::builder()
+            .l1_prefetcher(prefetchers::stride_default())
             .build()
             .expect("valid");
-        assert_eq!(
-            on.l1_prefetcher.as_ref().map(|h| h.name()).as_deref(),
-            Some("stride")
-        );
-        let off = SimConfig::builder()
-            .dl1_stride(false)
+        assert_eq!(format!("{stride:?}"), format!("{:?}", SimConfig::default()));
+        let empty = SimConfig::builder()
+            .no_l1_prefetcher()
             .build()
             .expect("valid");
-        assert!(off.l1_prefetcher.is_none());
+        let fields = SimConfig {
+            l1_prefetcher: None,
+            ..SimConfig::default()
+        };
+        assert_eq!(format!("{empty:?}"), format!("{fields:?}"));
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-mod barrier;
 mod config;
 mod registry;
 mod runner;
@@ -47,7 +46,8 @@ mod uncore;
 mod wheel;
 
 pub use config::{
-    default_instructions, default_warmup, ConfigError, SimConfig, SimConfigBuilder, MAX_CORES,
+    default_instructions, default_warmup, ConfigError, ExecMode, SimConfig, SimConfigBuilder,
+    MAX_CORES,
 };
 pub use registry::{
     registry, PrefetcherRegistry, PrefetcherResolver, ResolveError, ResolverOutcome,

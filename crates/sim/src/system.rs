@@ -1,7 +1,6 @@
 //! Full-system assembly: cores + uncore, and the measurement loop.
 
-use crate::barrier::{self, TickSync, STOP};
-use crate::config::SimConfig;
+use crate::config::{ExecMode, SimConfig};
 use crate::uncore::{PrefetchTelemetry, Uncore, UncoreStats};
 use crate::wheel::EventWheel;
 use bosim_adapt::{
@@ -15,13 +14,12 @@ use bosim_obs::{
 };
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
-use std::sync::Mutex;
 
 /// The result of one measured simulation run.
 ///
 /// `PartialEq` compares every counter bit-for-bit — the golden-stats
-/// invariance test relies on this to prove the fast-forwarding system
-/// loop exactly reproduces the naive per-cycle loop.
+/// invariance test relies on this to prove the [`ExecMode::Scheduled`]
+/// loop exactly reproduces the [`ExecMode::Naive`] one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Benchmark name (e.g. `"433.milc-like"`).
@@ -125,7 +123,7 @@ struct AdaptRuntime {
 /// The live observability epoch tracker: boundary bookkeeping plus the
 /// previous boundary's counter snapshots (the same delta discipline as
 /// [`AdaptRuntime`], so the metric series is bit-identical across the
-/// naive and fast-forwarding loops).
+/// naive and scheduled loops).
 #[derive(Debug)]
 struct ObsEpochRuntime {
     epoch_cycles: u64,
@@ -148,40 +146,10 @@ fn core_src(c: usize) -> u16 {
     (c + 1) as u16
 }
 
-/// µops pulled per decode-ring refill on the optimized path (the naive
-/// reference arm keeps per-µop pulls — the stream is identical either
+/// µops pulled per decode-ring refill in [`ExecMode::Scheduled`] (the
+/// naive reference keeps per-µop pulls — the stream is identical either
 /// way, batching only amortizes the virtual dispatch).
 const DECODE_BATCH: usize = 64;
-
-/// Mailbox of one worker-owned core during a parallel tick segment:
-/// the main thread fills `fills`/`due` before the rendezvous, the
-/// worker applies fills, ticks and leaves its outputs, and the main
-/// thread drains them afterwards in fixed core-id order.
-struct CoreCell {
-    core: Core,
-    /// Fills delivered by the uncore this cycle, in delivery order.
-    fills: Vec<LineAddr>,
-    /// Requests emitted while applying `fills`.
-    fill_reqs: Vec<UncoreRequest>,
-    /// Requests emitted by the cycle's tick.
-    tick_reqs: Vec<UncoreRequest>,
-    /// L1 observability events accumulated this cycle.
-    obs: Vec<CoreObsEvent>,
-    /// Whether the core must tick this cycle (wheel-due or fill-woken).
-    due: bool,
-    /// Whether the worker actually ticked it (guards stale outputs).
-    ticked: bool,
-    /// The core's next self-scheduled work cycle after the tick.
-    next_work: Cycle,
-}
-
-/// Locks a worker-core mailbox. The mutex is uncontended by protocol —
-/// the main thread touches mailboxes only outside the issue→done window
-/// — and poisoning means a worker panicked, so propagating is the only
-/// sound option.
-fn lock_cell(cell: &Mutex<CoreCell>) -> std::sync::MutexGuard<'_, CoreCell> {
-    cell.lock().expect("tick worker panicked") // bosim-lint: allow(P002, poisoned mailbox means a worker panicked; propagating is the only sound option)
-}
 
 /// A complete simulated machine: up to four cores, private L2s, shared L3
 /// and dual-channel DRAM.
@@ -197,14 +165,14 @@ pub struct System {
     req_buf: Vec<UncoreRequest>,
     fill_buf: Vec<(CoreId, LineAddr)>,
     adapt: Option<AdaptRuntime>,
-    /// The discrete-event calendar driving the scheduled (fast-forward)
-    /// loop: one source per core plus the uncore, each posting the
-    /// earliest cycle at which it may have work. A post is a promise of
-    /// idleness *before* it, never of work *at* it — early wake-ups are
-    /// harmless no-op ticks, but a source must never have work strictly
-    /// before its post.
+    /// The discrete-event calendar driving the scheduled loop: one
+    /// source per core plus the uncore, each posting the earliest cycle
+    /// at which it may have work. A post is a promise of idleness
+    /// *before* it, never of work *at* it — early wake-ups are harmless
+    /// no-op ticks, but a source must never have work strictly before
+    /// its post.
     wheel: EventWheel,
-    /// Scratch for the sources popped each stepped cycle.
+    /// Scratch for the sources due each stepped cycle.
     due_buf: Vec<u16>,
     /// Host-side wall-clock attribution (inert unless
     /// [`bosim_obs::ObsConfig::profile`] is set).
@@ -241,10 +209,10 @@ impl System {
             HostProfiler::disabled()
         };
         let decode_timer = prof.start(Phase::Decode);
-        // The optimized path pulls µops in blocks through the decode
-        // ring; the naive reference arm keeps per-µop pulls.
+        // The scheduled loop pulls µops in blocks through the decode
+        // ring; the naive reference keeps per-µop pulls.
         let mut core_cfg = cfg.core.clone();
-        if !cfg.naive_hot_path {
+        if cfg.exec == ExecMode::Scheduled {
             core_cfg.decode_batch = DECODE_BATCH;
         }
         let mut cores = Vec::new();
@@ -336,9 +304,9 @@ impl System {
         self.cycle
     }
 
-    /// Cycles actually stepped so far. With fast-forwarding off this
-    /// equals [`cycle`](Self::cycle); with it on, the difference is the
-    /// number of skipped (provably idle) cycles.
+    /// Cycles actually stepped so far. In [`ExecMode::Naive`] this
+    /// equals [`cycle`](Self::cycle); in [`ExecMode::Scheduled`] the
+    /// difference is the number of skipped (provably idle) cycles.
     pub fn steps_executed(&self) -> u64 {
         self.steps
     }
@@ -358,50 +326,6 @@ impl System {
         self.cores[0].stats()
     }
 
-    /// Advances the system by one cycle. Returns `true` when the cycle
-    /// was visibly active — a fill was delivered or a core emitted an
-    /// uncore request. Quiet cycles are where fast-forwarding looks for
-    /// skippable stretches (activity makes an immediate skip unlikely,
-    /// so the bound computation isn't worth paying for).
-    pub fn step(&mut self) -> bool {
-        let now = self.cycle;
-        self.steps += 1;
-        let mut active = false;
-        // Uncore first: deliver due fills into the cores (may produce
-        // writebacks, handled immediately).
-        self.fill_buf.clear();
-        let timer = self.prof.start(Phase::UncoreTick);
-        self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
-        self.prof.stop(timer);
-        active |= !self.fill_buf.is_empty();
-        let timer = self.prof.start(Phase::CoreTick);
-        for i in 0..self.fill_buf.len() {
-            let (core, line) = self.fill_buf[i];
-            self.req_buf.clear();
-            self.cores[core.index()].fill(line, now, &mut self.req_buf);
-            for r in 0..self.req_buf.len() {
-                let req = self.req_buf[r];
-                self.dispatch_request(core, req, now);
-            }
-        }
-        // Cores tick and emit new uncore requests.
-        for c in 0..self.cores.len() {
-            self.req_buf.clear();
-            self.cores[c].tick(now, &mut self.req_buf);
-            active |= !self.req_buf.is_empty();
-            for r in 0..self.req_buf.len() {
-                let req = self.req_buf[r];
-                self.dispatch_request(CoreId(c as u8), req, now);
-            }
-        }
-        self.prof.stop(timer);
-        if self.uncore.events_enabled() {
-            self.drain_core_obs(now);
-        }
-        self.cycle += 1;
-        active
-    }
-
     /// Moves the uncore's wheel post earlier, to `at`, when it is
     /// currently scheduled later. Called after every dispatched request:
     /// dispatch mutates uncore state outside its tick, so the bound it
@@ -414,17 +338,25 @@ impl System {
         }
     }
 
-    /// Advances the system by one cycle, popping the event wheel and
-    /// ticking only the sources that are due (plus any core woken by a
-    /// fill delivered this very cycle). Skipped (source, cycle) pairs
-    /// are provably idle — the posting contract makes ticking them a
-    /// no-op — so this is bit-identical to [`step`](Self::step), which
-    /// ticks everything every cycle.
-    fn step_scheduled(&mut self) {
+    /// Advances the system by one cycle — the one cycle body of both
+    /// [`ExecMode`]s. The due set names the sources to tick: the wheel's
+    /// pop in [`ExecMode::Scheduled`], every source in
+    /// [`ExecMode::Naive`]; a core woken by a fill delivered this very
+    /// cycle ticks too. A source the wheel leaves out is provably idle —
+    /// the posting contract makes ticking it a no-op — so both modes are
+    /// bit-identical. Wheel posts are kept in both modes; only the
+    /// scheduled loop reads them.
+    fn step(&mut self) {
         let now = self.cycle;
         self.steps += 1;
         let mut due_buf = std::mem::take(&mut self.due_buf);
-        self.wheel.pop_due(now, &mut due_buf);
+        match self.cfg.exec {
+            ExecMode::Scheduled => self.wheel.pop_due(now, &mut due_buf),
+            ExecMode::Naive => {
+                due_buf.clear();
+                due_buf.extend(0..self.wheel.sources() as u16);
+            }
+        }
         let uncore_due = due_buf.contains(&UNCORE_SRC);
         if uncore_due {
             self.fill_buf.clear();
@@ -526,7 +458,7 @@ impl System {
     /// policy, apply the directives, log core 0's record.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
-    /// it fires on. This keeps the naive and fast-forwarding loops
+    /// it fires on. This keeps the naive and scheduled loops
     /// bit-identical: a skip only jumps provably idle cycles, so when a
     /// jump lands past a boundary the counters are exactly what they
     /// were at the boundary and no prefetcher invocation can have
@@ -534,7 +466,7 @@ impl System {
     /// reconfigures the same prefetcher state either way.
     ///
     /// Returns `true` when at least one boundary was processed — the
-    /// scheduled loop then refreshes every wheel post, because an
+    /// run loop then refreshes every wheel post, because an
     /// applied directive can create work the sources' previous bounds
     /// did not account for.
     fn adapt_epochs(&mut self) -> bool {
@@ -664,8 +596,7 @@ impl System {
     /// of the run loop, before the boundary cycle's tick; a
     /// fast-forward jump can only land past a boundary by skipping
     /// provably idle cycles, so the deltas (and therefore the rows and
-    /// events) are bit-identical across the naive and fast-forwarding
-    /// loops.
+    /// events) are bit-identical across the naive and scheduled loops.
     fn process_obs_epochs(&mut self) {
         let Some(ob) = self.obs_rt.as_mut() else {
             return;
@@ -743,12 +674,12 @@ impl System {
     /// Runs until core 0 has retired `instructions` more instructions (or
     /// the safety cycle cap is hit).
     ///
-    /// With [`SimConfig::fast_forward`] on (the default), the run is
-    /// driven by the event wheel: each source ticks only on cycles it
-    /// may have work, and whole-system idle stretches are skipped by
-    /// popping the wheel instead of recomputing per-source bounds every
-    /// cycle. Elided ticks and skipped cycles are provable no-ops, so
-    /// the simulation stays cycle-exact; only wall-clock time changes.
+    /// Epoch boundaries are processed at the loop top, before the
+    /// boundary cycle's tick; [`step`](Self::step) then advances one
+    /// cycle. In [`ExecMode::Scheduled`] the loop next jumps to the
+    /// wheel's earliest post, skipping whole-system idle stretches.
+    /// Skipped cycles are provable no-ops, so the simulation stays
+    /// cycle-exact; only wall-clock time changes.
     fn run_until_retired(&mut self, instructions: u64) -> u64 {
         let start_retired = self.cores[0].retired();
         let target = start_retired + instructions;
@@ -756,18 +687,30 @@ impl System {
         // Safety net: a run that sinks below 0.002 IPC is considered hung
         // (deadlock guard for development; never triggered in practice).
         let cycle_cap = self.cycle + instructions * 500 + 1_000_000;
-        if self.cfg.fast_forward {
-            self.run_scheduled(target, cycle_cap);
-        } else {
-            // Naive reference loop: everything ticks every cycle.
-            while self.cores[0].retired() < target && self.cycle < cycle_cap {
-                if self.adapt.is_some() {
-                    self.adapt_epochs();
+        let skip = self.cfg.exec == ExecMode::Scheduled;
+        // Seed: every source starts due (a conservative post is always
+        // safe — early wake-ups are no-op ticks).
+        self.wake_all();
+        while self.cores[0].retired() < target && self.cycle < cycle_cap {
+            if self.adapt.is_some() && self.adapt_epochs() {
+                self.wake_all();
+            }
+            if self.obs_rt.is_some() {
+                self.process_obs_epochs();
+            }
+            self.step();
+            // Never skip once the window boundary is reached: the skip
+            // would push `cycle` past the stopping point and shift the
+            // next window's start relative to the naive loop.
+            if skip && self.cores[0].retired() < target {
+                let timer = self.prof.start(Phase::FastForward);
+                let next = self.wheel.next_after(self.cycle);
+                self.prof.stop(timer);
+                if next > self.cycle {
+                    // Cap the jump so a genuine deadlock (next == MAX)
+                    // still lands on the cycle-cap diagnostics.
+                    self.cycle = next.min(cycle_cap);
                 }
-                if self.obs_rt.is_some() {
-                    self.process_obs_epochs();
-                }
-                self.step();
             }
         }
         assert!(
@@ -782,271 +725,11 @@ impl System {
     }
 
     /// Makes every wheel source due at the current cycle. Used to seed a
-    /// scheduled run and to invalidate all posted bounds after an
-    /// adaptive directive reconfigures prefetcher state.
+    /// run and to invalidate all posted bounds after an adaptive
+    /// directive reconfigures prefetcher state.
     fn wake_all(&mut self) {
         for src in 0..self.wheel.sources() {
             self.wheel.post(src as u16, self.cycle);
-        }
-    }
-
-    /// The wheel-driven run loop (fast-forward on): epoch boundaries are
-    /// processed at the loop top, before the boundary cycle's tick, then
-    /// the system advances either serially ([`step_scheduled`] plus a
-    /// wheel skip) or in parallel tick segments bounded by the next
-    /// boundary ([`run_segment_parallel`]).
-    ///
-    /// [`step_scheduled`]: Self::step_scheduled
-    /// [`run_segment_parallel`]: Self::run_segment_parallel
-    fn run_scheduled(&mut self, target: u64, cycle_cap: Cycle) {
-        // Seed: every source starts due (a conservative post is always
-        // safe — early wake-ups are no-op ticks).
-        self.wake_all();
-        let threads = match self.cfg.tick_threads {
-            0 => barrier::available_threads(),
-            n => n,
-        };
-        let workers = threads.min(self.cores.len()).saturating_sub(1);
-        while self.cores[0].retired() < target && self.cycle < cycle_cap {
-            if self.adapt.is_some() && self.adapt_epochs() {
-                self.wake_all();
-            }
-            if self.obs_rt.is_some() {
-                self.process_obs_epochs();
-            }
-            if workers >= 1 {
-                // A segment may SKIP past its stop cycle (idle, exactly
-                // as the serial loop would) but never TICKS a cycle at
-                // or beyond it, so boundary processing stays "before the
-                // boundary cycle's tick".
-                let stop_at = cycle_cap
-                    .min(self.adapt.as_ref().map_or(Cycle::MAX, |a| a.next_boundary))
-                    .min(self.obs_rt.as_ref().map_or(Cycle::MAX, |o| o.next_boundary));
-                self.run_segment_parallel(target, stop_at, cycle_cap, workers);
-            } else {
-                self.step_scheduled();
-                // Never fast-forward once the window boundary is
-                // reached: the skip would push `cycle` past the stopping
-                // point and shift the next window's start relative to
-                // the naive loop.
-                if self.cores[0].retired() < target {
-                    let timer = self.prof.start(Phase::FastForward);
-                    let next = self.wheel.next_after(self.cycle);
-                    self.prof.stop(timer);
-                    if next > self.cycle {
-                        // Cap the jump so a genuine deadlock (next ==
-                        // MAX) still lands on the cycle-cap diagnostics.
-                        self.cycle = next.min(cycle_cap);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs scheduled cycles until the retirement target, `stop_at` or
-    /// the cycle cap, ticking cores 1.. on `n_workers` worker threads
-    /// with a barrier rendezvous per simulated cycle.
-    ///
-    /// Determinism argument: within a cycle, core ticks read and write
-    /// only their own core's state — all cross-core interaction flows
-    /// through uncore requests. Workers therefore only *accumulate*
-    /// requests into their per-core mailboxes; the main thread replays
-    /// them into the uncore afterwards in the exact serial order (all
-    /// fill-phase requests in core-ascending order, then all tick-phase
-    /// requests in core-ascending order), and forwards observability
-    /// events in the same fixed order. Every simulated outcome is thus a
-    /// pure function of simulated state, independent of thread count and
-    /// scheduling — `tick_threads: 8` produces bit-identical
-    /// [`SimResult`]s to `tick_threads: 1`.
-    fn run_segment_parallel(
-        &mut self,
-        target: u64,
-        stop_at: Cycle,
-        cycle_cap: Cycle,
-        n_workers: usize,
-    ) {
-        let events_on = self.uncore.events_enabled();
-        let cells: Vec<Mutex<CoreCell>> = self
-            .cores
-            .drain(1..)
-            .map(|core| {
-                Mutex::new(CoreCell {
-                    core,
-                    fills: Vec::new(),
-                    fill_reqs: Vec::with_capacity(8),
-                    tick_reqs: Vec::with_capacity(8),
-                    obs: Vec::new(),
-                    due: false,
-                    ticked: false,
-                    next_work: 0,
-                })
-            })
-            .collect();
-        let sync = TickSync::new();
-        let worker = |w: usize| {
-            let mut seen = 0u64;
-            loop {
-                let (gen, cmd) = sync.await_command(seen);
-                seen = gen;
-                if cmd == STOP {
-                    break;
-                }
-                let _done = sync.done_guard();
-                let now = cmd;
-                let mut ci = w;
-                while ci < cells.len() {
-                    let mut cell = cells[ci].lock().expect("tick worker panicked"); // bosim-lint: allow(P002, a poisoned mailbox means a sibling worker panicked; propagating is the only sound option)
-                    let cell = &mut *cell;
-                    if cell.due {
-                        cell.fill_reqs.clear();
-                        cell.tick_reqs.clear();
-                        for f in 0..cell.fills.len() {
-                            let line = cell.fills[f];
-                            cell.core.fill(line, now, &mut cell.fill_reqs);
-                        }
-                        cell.fills.clear();
-                        cell.core.tick(now, &mut cell.tick_reqs);
-                        if events_on {
-                            cell.core.drain_obs(&mut cell.obs);
-                        }
-                        cell.next_work = cell.core.next_work_cycle(now + 1);
-                        cell.ticked = true;
-                    }
-                    ci += n_workers;
-                }
-            }
-        };
-        barrier::scoped_workers(
-            n_workers,
-            worker,
-            || {
-                let mut c0_reqs: Vec<UncoreRequest> = Vec::with_capacity(8);
-                let mut gens = 0u64;
-                while self.cores[0].retired() < target && self.cycle < stop_at {
-                    let now = self.cycle;
-                    self.steps += 1;
-                    let mut dispatched = false;
-                    // Uncore phase: tick if due, repost, route fills.
-                    // Core 0's fills are applied (and their requests
-                    // dispatched) inline — they come first in delivery
-                    // order; worker cores' fills go to their mailboxes.
-                    if self.wheel.due(UNCORE_SRC, now) {
-                        self.fill_buf.clear();
-                        let timer = self.prof.start(Phase::UncoreTick);
-                        self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
-                        self.prof.stop(timer);
-                        let next = self.uncore.next_ready_after(now);
-                        self.wheel.post(UNCORE_SRC, next);
-                        for i in 0..self.fill_buf.len() {
-                            let (core, line) = self.fill_buf[i];
-                            if core.index() == 0 {
-                                self.wheel.post(core_src(0), now);
-                                self.req_buf.clear();
-                                self.cores[0].fill(line, now, &mut self.req_buf);
-                                for r in 0..self.req_buf.len() {
-                                    let req = self.req_buf[r];
-                                    self.dispatch_request(core, req, now);
-                                    dispatched = true;
-                                }
-                            } else {
-                                lock_cell(&cells[core.index() - 1]).fills.push(line);
-                            }
-                        }
-                    }
-                    // Mark dues, then release the workers on this cycle.
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let mut cell = lock_cell(cell);
-                        cell.due = self.wheel.due(core_src(ci + 1), now) || !cell.fills.is_empty();
-                        cell.ticked = false;
-                    }
-                    sync.issue(now);
-                    gens += 1;
-                    // Core 0 ticks on this thread, concurrently with the
-                    // workers; its requests are deferred like theirs
-                    // (core ticks never read uncore state).
-                    c0_reqs.clear();
-                    let timer = self.prof.start(Phase::CoreTick);
-                    if self.wheel.due(core_src(0), now) {
-                        self.cores[0].tick(now, &mut c0_reqs);
-                        self.wheel
-                            .post(core_src(0), self.cores[0].next_work_cycle(now + 1));
-                    }
-                    self.prof.stop(timer);
-                    sync.await_done(gens * n_workers as u64);
-                    // Replay the deferred requests in serial order:
-                    // remaining fill-phase requests (cores ascending),
-                    // then tick-phase requests (cores ascending).
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let cell = lock_cell(cell);
-                        if !cell.ticked {
-                            continue;
-                        }
-                        for r in 0..cell.fill_reqs.len() {
-                            let req = cell.fill_reqs[r];
-                            self.dispatch_request(CoreId((ci + 1) as u8), req, now);
-                            dispatched = true;
-                        }
-                    }
-                    for &req in &c0_reqs {
-                        self.dispatch_request(CoreId(0), req, now);
-                        dispatched = true;
-                    }
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let cell = lock_cell(cell);
-                        if !cell.ticked {
-                            continue;
-                        }
-                        for r in 0..cell.tick_reqs.len() {
-                            let req = cell.tick_reqs[r];
-                            self.dispatch_request(CoreId((ci + 1) as u8), req, now);
-                            dispatched = true;
-                        }
-                        self.wheel.post(core_src(ci + 1), cell.next_work);
-                    }
-                    if dispatched {
-                        self.wake_uncore(now + 1);
-                    }
-                    // Observability events, in the serial order: core 0
-                    // first, then worker cores ascending.
-                    if events_on {
-                        self.drain_core_obs(now);
-                        for (ci, cell) in cells.iter().enumerate() {
-                            let mut cell = lock_cell(cell);
-                            for e in 0..cell.obs.len() {
-                                let kind = match cell.obs[e] {
-                                    CoreObsEvent::L1PrefetchIssued { line } => {
-                                        EventKind::PrefetchIssued { line: line.0 }
-                                    }
-                                    CoreObsEvent::L1PrefetchTlbDrop => {
-                                        EventKind::PrefetchDropped { line: 0 }
-                                    }
-                                };
-                                self.uncore.record_event(Event {
-                                    cycle: now,
-                                    core: (ci + 1) as u32,
-                                    site: ObsSite::L1d,
-                                    kind,
-                                });
-                            }
-                            cell.obs.clear();
-                        }
-                    }
-                    self.cycle += 1;
-                    if self.cores[0].retired() < target {
-                        let timer = self.prof.start(Phase::FastForward);
-                        let next = self.wheel.next_after(self.cycle);
-                        self.prof.stop(timer);
-                        if next > self.cycle {
-                            self.cycle = next.min(cycle_cap);
-                        }
-                    }
-                }
-            },
-            || sync.issue(STOP),
-        );
-        for cell in cells {
-            let cell = cell.into_inner().expect("tick worker panicked"); // bosim-lint: allow(P002, a poisoned mailbox means a worker panicked; propagating is the only sound option)
-            self.cores.push(cell.core);
         }
     }
 

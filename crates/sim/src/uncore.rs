@@ -20,7 +20,7 @@
 //! With the site empty (the default) every new code path is inert and
 //! the machine is cycle-identical to the pre-site uncore.
 
-use crate::config::SimConfig;
+use crate::config::{ExecMode, SimConfig};
 use best_offset::{
     AccessOutcome, CacheAccess, PrefetchEvent, PrefetchSite, Prefetcher, TuneDirective,
 };
@@ -229,7 +229,7 @@ pub struct Uncore {
 impl Uncore {
     /// Builds the uncore for `active_cores` cores.
     pub fn new(cfg: &SimConfig) -> Self {
-        let naive = cfg.naive_hot_path;
+        let naive = cfg.exec == ExecMode::Naive;
         let l2s = (0..cfg.active_cores)
             .map(|i| L2 {
                 array: CacheArray::new(

@@ -1,12 +1,12 @@
-//! Golden-stats invariance: the optimized hot path (indexed queues,
-//! subsystem skipping, system-loop fast-forwarding) must produce
+//! Golden-stats invariance: `ExecMode::Scheduled` (event-wheel loop,
+//! indexed queues, subsystem skipping, batched decode) must produce
 //! *bit-identical* `SimResult`s — instructions, cycles, every core,
-//! uncore and DRAM counter — to the naive path (linear CAM scans, full
-//! per-cycle polling, no skipping) for fixed seeds across the synthetic
-//! suite. The optimizations are pure wall-clock wins; any counter drift
+//! uncore and DRAM counter — to `ExecMode::Naive` (every source ticked
+//! every cycle, linear CAM scans, full per-cycle polling, no skipping)
+//! for fixed seeds across the synthetic suite. The optimizations are pure wall-clock wins; any counter drift
 //! here is a simulation bug, not a performance trade-off.
 
-use bosim::{prefetchers, PrefetcherHandle, SimConfig, SimResult, System};
+use bosim::{prefetchers, ExecMode, PrefetcherHandle, SimConfig, SimResult, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
@@ -16,17 +16,19 @@ fn run(cfg: &SimConfig, bench_id: &str) -> SimResult {
 }
 
 fn assert_invariant(base: SimConfig, bench_id: &str) {
-    let mut naive = base.clone();
-    naive.fast_forward = false;
-    naive.naive_hot_path = true;
-    let mut optimized = base;
-    optimized.fast_forward = true;
-    optimized.naive_hot_path = false;
+    let naive = SimConfig {
+        exec: ExecMode::Naive,
+        ..base.clone()
+    };
+    let optimized = SimConfig {
+        exec: ExecMode::Scheduled,
+        ..base
+    };
     let a = run(&naive, bench_id);
     let b = run(&optimized, bench_id);
     assert_eq!(
         a, b,
-        "{bench_id} [{}]: optimized hot path diverged from naive",
+        "{bench_id} [{}]: the scheduled loop diverged from naive",
         b.config
     );
 }
@@ -126,9 +128,10 @@ fn golden_stats_file_backed_trace_with_sampling() {
         sample: Some(SampleSpec::periodic(10_000, 20_000, 30_000)),
         ..quick(prefetchers::bo_default(), 0xB05EED)
     };
-    let mut naive = base.clone();
-    naive.fast_forward = false;
-    naive.naive_hot_path = true;
+    let naive = SimConfig {
+        exec: ExecMode::Naive,
+        ..base.clone()
+    };
     let a = System::new(&naive, &bench).run();
     let b = System::new(&base, &bench).run();
     assert_eq!(a, b, "file-backed replay diverged between hot paths");
@@ -195,44 +198,25 @@ fn golden_stats_four_cores() {
     assert_invariant(cfg, "429");
 }
 
-/// Runs `base` serially (`tick_threads: 1`) and with 2 and 4 tick
-/// threads, asserting bit-identical `SimResult`s: the parallel
-/// rendezvous must be invisible in every simulated counter.
-fn assert_parallel_identical(base: SimConfig, bench_id: &str) {
-    let mut serial = base.clone();
-    serial.tick_threads = 1;
-    let a = run(&serial, bench_id);
-    for threads in [2, 4] {
-        let mut par = base.clone();
-        par.tick_threads = threads;
-        let b = run(&par, bench_id);
-        assert_eq!(
-            a, b,
-            "{bench_id}: tick_threads={threads} diverged from the serial loop"
-        );
-    }
-}
-
-/// Parallel core ticking is a pure wall-clock lever: worker threads
-/// only accumulate per-core effects, and the main thread replays them
-/// in fixed core-ID order, so thread count never shows up in results.
+/// Four cores on the store-heavy 470: every thrasher shares the L3 and
+/// DRAM with core 0, so fill wake-ups and uncore re-posts from several
+/// cores interleave within one cycle.
 #[test]
-fn parallel_tick_matches_serial_multicore() {
+fn golden_stats_four_cores_store_heavy() {
     let cfg = SimConfig {
         active_cores: 4,
         warmup_instructions: 5_000,
         measure_instructions: 15_000,
         ..Default::default()
     };
-    assert_parallel_identical(cfg, "470");
+    assert_invariant(cfg, "470");
 }
 
-/// Parallel ticking under adaptive epochs and full tracing: segment
-/// stops must land exactly on epoch boundaries, and observability
-/// events from worker-ticked cores must merge into the shared log in
-/// the same order the serial loop produces.
+/// Multi-core under adaptive epochs and tracing together: every core's
+/// policy reconfigures its prefetcher at each boundary, and L1 events
+/// from every core merge into the shared log in core-id order.
 #[test]
-fn parallel_tick_matches_serial_with_adapt_and_tracing() {
+fn golden_stats_multicore_adapt_and_tracing() {
     use bosim::adapt::{policies, AdaptConfig};
     use bosim_obs::ObsConfig;
     let mut cfg = SimConfig {
@@ -246,9 +230,10 @@ fn parallel_tick_matches_serial_with_adapt_and_tracing() {
         events: true,
         epochs: true,
         epoch_cycles: 5_000,
+        profile: true,
         ..ObsConfig::default()
     };
-    assert_parallel_identical(cfg, "429");
+    assert_invariant(cfg, "429");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Multi-level prefetching, end to end: site-qualified registry
 //! resolution, the l1:stride + l2:bo + l3:next-line acceptance arm
 //! through the `Experiment` harness, per-site telemetry invariants, and
-//! the `dl1_stride` compatibility shim.
+//! the L1-site builder toggles.
 
 use bosim::{prefetchers, registry, PrefetchSite, SimConfig, System};
 use bosim_bench::{Experiment, RunSummary};
@@ -111,28 +111,29 @@ fn empty_l3_site_is_inert() {
     result.check_site_invariants().expect("invariants hold");
 }
 
-/// Satellite: the deprecated `dl1_stride(bool)` builder shim is
-/// bit-identical to configuring the L1 site directly — both ways of
-/// spelling each configuration produce equal `SimResult`s.
+/// The L1-site builders toggle the stride prefetcher end to end:
+/// `l1_prefetcher(stride)` is the default machine, and
+/// `no_l1_prefetcher()` empties the site, so no L1 prefetch issues.
 #[test]
-fn dl1_stride_shim_matches_site_configuration() {
+fn l1_site_builders_toggle_the_stride_prefetcher() {
     // A streaming benchmark, so the stride prefetcher actually fires
     // and the on/off configurations genuinely differ.
     let bench = suite::benchmark("462").expect("exists");
     let run = |cfg: SimConfig| System::new(&quick(cfg), &bench).run();
 
-    let shim_on = run(SimConfig::builder().dl1_stride(true).build().unwrap());
     let site_on = run(SimConfig::builder()
         .l1_prefetcher(prefetchers::stride_default())
         .build()
         .unwrap());
-    assert_eq!(shim_on, site_on, "dl1_stride(true) == stride at l1");
+    assert_eq!(
+        site_on,
+        run(SimConfig::default()),
+        "stride at l1 is the default"
+    );
 
-    let shim_off = run(SimConfig::builder().dl1_stride(false).build().unwrap());
     let site_off = run(SimConfig::builder().no_l1_prefetcher().build().unwrap());
-    assert_eq!(shim_off, site_off, "dl1_stride(false) == empty l1 site");
-    assert_eq!(shim_off.core.l1_prefetches, 0, "site empty: no issues");
-    assert_ne!(shim_on, shim_off, "the toggle must change behaviour");
+    assert_eq!(site_off.core.l1_prefetches, 0, "site empty: no issues");
+    assert_ne!(site_on, site_off, "the toggle must change behaviour");
 }
 
 /// Site-qualified names resolve through the process-wide registry, with
