@@ -14,6 +14,15 @@
 //! pointer chases serialise on memory latency while independent loads
 //! expose memory-level parallelism — the two behaviours that decide
 //! whether prefetch timeliness matters.
+//!
+//! The per-µop structures are sized when a core is built, so dispatch
+//! allocates nothing. The ROB is a fixed ring of `Copy` entries,
+//! `rob_size` rounded up to a power of two, and µop `seq` lives in slot
+//! `seq & mask`. Each entry's wakeup list is a FIFO linked through a
+//! per-core slab of waiter nodes with a free list. A consumer holds at
+//! most two nodes while it waits in the ROB, so the slab never grows
+//! past `2 × rob_size` nodes. Load issues and their retries wait in a
+//! heap ordered by `(cycle, seq)`, at most one per load in the ROB.
 
 use crate::tage::{Ittage, Tage};
 use crate::tlb::{PageTranslator, TlbHierarchy};
@@ -24,6 +33,9 @@ use bosim_trace::{MicroOp, TraceSource, UopKind, NUM_REGS};
 use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass, VirtAddr};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// The end of a waiter list.
+const NIL: u32 = u32::MAX;
 
 /// Core configuration (Table 1 defaults via [`Default`]).
 #[derive(Debug, Clone)]
@@ -154,7 +166,7 @@ enum RegState {
     Pending(u64),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     kind: UopKind,
     pc: u64,
@@ -167,15 +179,123 @@ struct RobEntry {
     /// Earliest known execution start.
     ready_hint: Cycle,
     /// Dependent seqs waiting for this entry's completion.
-    waiters: Vec<u64>,
+    waiters: WaitList,
     mispredicted: bool,
     /// Loads: the address translation penalty has been charged.
     translated: bool,
 }
 
-const EV_LOAD_ISSUE: u8 = 0;
+impl RobEntry {
+    /// The filler of ring slots no µop occupies.
+    const EMPTY: RobEntry = RobEntry {
+        kind: UopKind::Int,
+        pc: 0,
+        vaddr: 0,
+        has_mem: false,
+        dst: None,
+        done_at: None,
+        unresolved: 0,
+        ready_hint: 0,
+        waiters: WaitList::EMPTY,
+        mispredicted: false,
+        translated: false,
+    };
+}
+
+/// A FIFO of dependent seqs, linked through a [`WaiterSlab`].
+#[derive(Debug, Clone, Copy)]
+struct WaitList {
+    head: u32,
+    tail: u32,
+}
+
+impl WaitList {
+    const EMPTY: WaitList = WaitList {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+#[derive(Debug, Clone, Copy)]
+struct WaitNode {
+    seq: u64,
+    next: u32,
+}
+
+/// The nodes of every ROB entry's waiter list, with a free list of
+/// released nodes threaded through `next`.
+#[derive(Debug)]
+struct WaiterSlab {
+    nodes: Vec<WaitNode>,
+    free: u32,
+}
+
+impl WaiterSlab {
+    fn with_capacity(n: usize) -> Self {
+        WaiterSlab {
+            nodes: Vec::with_capacity(n),
+            free: NIL,
+        }
+    }
+
+    /// Appends `seq` to the tail of `list`.
+    fn push(&mut self, list: &mut WaitList, seq: u64) {
+        let node = WaitNode { seq, next: NIL };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        if list.tail == NIL {
+            list.head = i;
+        } else {
+            self.nodes[list.tail as usize].next = i;
+        }
+        list.tail = i;
+    }
+
+    /// Removes and returns the head of `list`, releasing its node.
+    fn pop(&mut self, list: &mut WaitList) -> Option<u64> {
+        if list.head == NIL {
+            return None;
+        }
+        let i = list.head;
+        let WaitNode { seq, next } = self.nodes[i as usize];
+        list.head = next;
+        if next == NIL {
+            list.tail = NIL;
+        }
+        self.nodes[i as usize].next = self.free;
+        self.free = i;
+        Some(seq)
+    }
+}
 
 const PORT_RING: usize = 256;
+
+/// Per-cycle use of one class of ports: slot `cycle % PORT_RING` holds
+/// `(cycle, ports taken)`, and a slot holding another cycle is free.
+type PortRing = [(Cycle, u8); PORT_RING];
+
+/// Takes a port of `ring` (`cap` per cycle) at or after `t`; returns
+/// the granted cycle.
+fn reserve(ring: &mut PortRing, cap: usize, mut t: Cycle) -> Cycle {
+    loop {
+        let slot = &mut ring[(t as usize) % PORT_RING];
+        if slot.0 != t {
+            *slot = (t, 0);
+        }
+        if (slot.1 as usize) < cap {
+            slot.1 += 1;
+            return t;
+        }
+        t += 1;
+    }
+}
 
 /// One simulated core: front-end, ROB, L1 caches, TLBs and predictors.
 #[derive(Debug)]
@@ -194,11 +314,15 @@ pub struct Core {
     /// The pluggable L1D prefetch site (`None` = site empty, Figure 4).
     l1_prefetcher: Option<Box<dyn L1Prefetcher>>,
 
-    rob: VecDeque<RobEntry>,
+    /// The ROB ring: µops `head_seq..next_seq` sit in slot `seq & rob_mask`.
+    rob: Vec<RobEntry>,
+    rob_mask: u64,
     head_seq: u64,
     next_seq: u64,
+    waiters: WaiterSlab,
     regs: [RegState; NUM_REGS],
-    events: BinaryHeap<Reverse<(Cycle, u64, u8)>>,
+    /// Load issues and retries, as `(cycle, seq)`.
+    events: BinaryHeap<Reverse<(Cycle, u64)>>,
 
     fetch_stalled_until: Cycle,
     ifetch_pending: Option<LineAddr>,
@@ -217,9 +341,9 @@ pub struct Core {
     /// on its own can free a slot, so the scheduled loop may sleep the
     /// core; only a [`fill`](Self::fill) clears the flag.
     store_blocked: bool,
-    ports: Vec<(Cycle, u8)>,
-    int_port_ring: Vec<(Cycle, u8)>,
-    fp_port_ring: Vec<(Cycle, u8)>,
+    ports: Box<PortRing>,
+    int_port_ring: Box<PortRing>,
+    fp_port_ring: Box<PortRing>,
 
     stats: CoreStats,
     /// Buffered observability events; `None` (the default) disables
@@ -252,11 +376,13 @@ impl Core {
             dl1: CacheArray::new(cfg.dl1_size, cfg.dl1_ways, PolicyKind::Lru, 1, seed ^ 2),
             mshr: MshrFile::new(cfg.mshrs),
             l1_prefetcher,
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: vec![RobEntry::EMPTY; cfg.rob_size.next_power_of_two()],
+            rob_mask: cfg.rob_size.next_power_of_two() as u64 - 1,
             head_seq: 0,
             next_seq: 0,
+            waiters: WaiterSlab::with_capacity(2 * cfg.rob_size),
             regs: [RegState::Known(0); NUM_REGS],
-            events: BinaryHeap::new(),
+            events: BinaryHeap::with_capacity(cfg.rob_size),
             fetch_stalled_until: 0,
             ifetch_pending: None,
             cur_fetch_vline: u64::MAX,
@@ -266,9 +392,9 @@ impl Core {
             store_buffer: VecDeque::new(),
             store_probed: false,
             store_blocked: false,
-            ports: vec![(u64::MAX, 0); PORT_RING],
-            int_port_ring: vec![(u64::MAX, 0); PORT_RING],
-            fp_port_ring: vec![(u64::MAX, 0); PORT_RING],
+            ports: Box::new([(u64::MAX, 0); PORT_RING]),
+            int_port_ring: Box::new([(u64::MAX, 0); PORT_RING]),
+            fp_port_ring: Box::new([(u64::MAX, 0); PORT_RING]),
             stats: CoreStats::default(),
             cfg,
             obs: None,
@@ -335,56 +461,56 @@ impl Core {
         self.stats = CoreStats::default();
     }
 
+    /// µops in the ROB.
+    #[inline]
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// The oldest µop in the ROB, if any.
+    #[inline]
+    fn rob_head(&self) -> Option<&RobEntry> {
+        self.slot(self.head_seq).map(|i| &self.rob[i])
+    }
+
+    /// The ring slot of `seq`, if it is in the ROB.
+    #[inline]
+    fn slot(&self, seq: u64) -> Option<usize> {
+        (self.head_seq..self.next_seq)
+            .contains(&seq)
+            .then_some((seq & self.rob_mask) as usize)
+    }
+
     #[inline]
     fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.rob.get_mut(idx)
+        let i = self.slot(seq)?;
+        Some(&mut self.rob[i])
     }
 
     /// Reserves a load port at or after `t`; returns the granted cycle.
-    fn reserve_port(&mut self, mut t: Cycle) -> Cycle {
-        loop {
-            let slot = (t as usize) % PORT_RING;
-            if self.ports[slot].0 != t {
-                self.ports[slot] = (t, 0);
-            }
-            if (self.ports[slot].1 as usize) < self.cfg.load_ports {
-                self.ports[slot].1 += 1;
-                return t;
-            }
-            t += 1;
-        }
+    fn reserve_port(&mut self, t: Cycle) -> Cycle {
+        reserve(&mut self.ports, self.cfg.load_ports, t)
     }
 
     /// Reserves an execution port (INT or FP) at or after `t`.
-    fn reserve_exec_port(&mut self, kind: UopKind, mut t: Cycle) -> Cycle {
-        let (ring, cap) = match kind {
-            UopKind::Fp | UopKind::FpDiv => (&mut self.fp_port_ring, self.cfg.fp_ports),
-            _ => (&mut self.int_port_ring, self.cfg.int_ports),
-        };
-        loop {
-            let slot = (t as usize) % PORT_RING;
-            if ring[slot].0 != t {
-                ring[slot] = (t, 0);
-            }
-            if (ring[slot].1 as usize) < cap {
-                ring[slot].1 += 1;
-                return t;
-            }
-            t += 1;
+    fn reserve_exec_port(&mut self, kind: UopKind, t: Cycle) -> Cycle {
+        match kind {
+            UopKind::Fp | UopKind::FpDiv => reserve(&mut self.fp_port_ring, self.cfg.fp_ports, t),
+            _ => reserve(&mut self.int_port_ring, self.cfg.int_ports, t),
         }
     }
 
     /// Marks `seq` complete at `done`, propagating to the scoreboard and
     /// waking dependents.
     fn complete(&mut self, seq: u64, done: Cycle, out: &mut Vec<UncoreRequest>) {
-        let (dst, waiters, mispredicted) = {
+        let (dst, mut waiters, mispredicted) = {
             let e = match self.entry_mut(seq) {
                 Some(e) => e,
                 None => return,
             };
             e.done_at = Some(done);
-            (e.dst, std::mem::take(&mut e.waiters), e.mispredicted)
+            let waiters = std::mem::replace(&mut e.waiters, WaitList::EMPTY);
+            (e.dst, waiters, e.mispredicted)
         };
         if let Some(d) = dst {
             if self.regs[d as usize] == RegState::Pending(seq) {
@@ -396,7 +522,7 @@ impl Core {
             // replaces the stall sentinel set at dispatch.
             self.fetch_stalled_until = done + self.cfg.mispredict_penalty;
         }
-        for w in waiters {
+        while let Some(w) = self.waiters.pop(&mut waiters) {
             let sched = {
                 let e = match self.entry_mut(w) {
                     Some(e) => e,
@@ -405,26 +531,29 @@ impl Core {
                 e.unresolved -= 1;
                 e.ready_hint = e.ready_hint.max(done);
                 if e.unresolved == 0 {
-                    Some(e.ready_hint)
+                    Some((e.kind, e.ready_hint))
                 } else {
                     None
                 }
             };
-            if let Some(ready) = sched {
-                self.schedule_exec(w, ready, out);
+            if let Some((kind, ready)) = sched {
+                self.schedule_exec(w, kind, ready, out);
             }
         }
     }
 
-    /// Schedules execution of `seq` once all its producers are known.
-    fn schedule_exec(&mut self, seq: u64, ready: Cycle, out: &mut Vec<UncoreRequest>) {
-        let kind = match self.entry_mut(seq) {
-            Some(e) => e.kind,
-            None => return,
-        };
+    /// Schedules execution of `seq`, a µop of `kind`, once all its
+    /// producers are known.
+    fn schedule_exec(
+        &mut self,
+        seq: u64,
+        kind: UopKind,
+        ready: Cycle,
+        out: &mut Vec<UncoreRequest>,
+    ) {
         if kind == UopKind::Load {
             let t = self.reserve_port(ready);
-            self.events.push(Reverse((t, seq, EV_LOAD_ISSUE)));
+            self.events.push(Reverse((t, seq)));
         } else {
             let start = self.reserve_exec_port(kind, ready);
             let done = start + kind.exec_latency();
@@ -434,26 +563,20 @@ impl Core {
 
     /// Executes a load's DL1 access at its issue cycle.
     fn load_issue(&mut self, seq: u64, now: Cycle, out: &mut Vec<UncoreRequest>) {
-        let (pc, vaddr) = match self.entry_mut(seq) {
-            Some(e) => (e.pc, e.vaddr),
-            None => return,
+        let Some(e) = self.entry_mut(seq) else {
+            return;
         };
-        let va = VirtAddr(vaddr);
+        let (pc, va) = (e.pc, VirtAddr(e.vaddr));
         // Translation penalty delays the access; charged exactly once per
         // load (the walk result is kept, so a retry must not re-probe —
         // concurrent loads with set-conflicting VPNs would otherwise
         // evict each other's entries forever).
-        let translated = self.entry_mut(seq).map(|e| e.translated).unwrap_or(true);
-        if !translated {
-            if let Some(e) = self.entry_mut(seq) {
-                e.translated = true;
-            }
+        if !std::mem::replace(&mut e.translated, true) {
             let penalty = self
                 .tlbs
                 .data_penalty(va.page_number(self.translator.page_size()));
             if penalty > 0 {
-                self.events
-                    .push(Reverse((now + penalty, seq, EV_LOAD_ISSUE)));
+                self.events.push(Reverse((now + penalty, seq)));
                 return;
             }
         }
@@ -477,7 +600,7 @@ impl Core {
                 }
                 if !self.mshr.try_alloc(line, now, false) {
                     // MSHR full: retry next cycle.
-                    self.events.push(Reverse((now + 1, seq, EV_LOAD_ISSUE)));
+                    self.events.push(Reverse((now + 1, seq)));
                     return;
                 }
                 self.stats.dl1_misses += 1;
@@ -646,7 +769,7 @@ impl Core {
     /// training the L1 prefetcher and committing stores.
     fn retire(&mut self, now: Cycle) {
         for _ in 0..self.cfg.retire_width {
-            let Some(head) = self.rob.front() else {
+            let Some(&head) = self.rob_head() else {
                 return;
             };
             match head.done_at {
@@ -656,7 +779,7 @@ impl Core {
             if head.kind == UopKind::Store && self.store_buffer.len() >= self.cfg.store_buffer {
                 return; // store buffer full: stall retirement
             }
-            let e = self.rob.pop_front().expect("head exists"); // bosim-lint: allow(P002, guarded by the head inspection above)
+            let e = head;
             self.head_seq += 1;
             self.stats.retired += 1;
             if e.has_mem {
@@ -706,7 +829,7 @@ impl Core {
         let mut line_switches = 0;
         let mut taken_branches = 0;
         for _ in 0..self.cfg.dispatch_width {
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.rob_len() >= self.cfg.rob_size {
                 return;
             }
             let uop = match self.pending_uop.take() {
@@ -786,8 +909,8 @@ impl Core {
                     RegState::Known(t) => ready = ready.max(t),
                     RegState::Pending(p) => {
                         // Attach to the producer's wait list.
-                        if let Some(pe) = self.entry_mut(p) {
-                            pe.waiters.push(seq);
+                        if let Some(i) = self.slot(p) {
+                            self.waiters.push(&mut self.rob[i].waiters, seq);
                             unresolved += 1;
                         }
                     }
@@ -797,7 +920,7 @@ impl Core {
                 Some(m) => (m.vaddr.0, true),
                 None => (0, false),
             };
-            self.rob.push_back(RobEntry {
+            self.rob[(seq & self.rob_mask) as usize] = RobEntry {
                 kind: uop.kind,
                 pc: uop.pc,
                 vaddr,
@@ -806,10 +929,10 @@ impl Core {
                 done_at: None,
                 unresolved,
                 ready_hint: ready,
-                waiters: Vec::new(),
+                waiters: WaitList::EMPTY,
                 mispredicted,
                 translated: false,
-            });
+            };
             if let Some(d) = uop.dst {
                 self.regs[d.index()] = RegState::Pending(seq);
             }
@@ -819,7 +942,7 @@ impl Core {
                 self.fetch_stalled_until = u64::MAX;
             }
             if unresolved == 0 {
-                self.schedule_exec(seq, ready, out);
+                self.schedule_exec(seq, uop.kind, ready, out);
             }
             if mispredicted {
                 return;
@@ -842,7 +965,7 @@ impl Core {
     pub fn next_work_cycle(&self, from: Cycle) -> Cycle {
         let mut t = Cycle::MAX;
         // Scheduled load issues / retries.
-        if let Some(&Reverse((et, _, _))) = self.events.peek() {
+        if let Some(&Reverse((et, _))) = self.events.peek() {
             if et <= from {
                 return from;
             }
@@ -851,7 +974,7 @@ impl Core {
         // Retirement: a completed head retires (or frees ROB space) at
         // its completion cycle; an incomplete head waits on an event or
         // an external fill, both accounted for elsewhere.
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.rob_head() {
             match head.done_at {
                 Some(d) if d > from => t = t.min(d),
                 Some(_) => return from,
@@ -872,7 +995,7 @@ impl Core {
                 if self.fetch_stalled_until != Cycle::MAX {
                     t = t.min(self.fetch_stalled_until);
                 }
-            } else if self.rob.len() < self.cfg.rob_size {
+            } else if self.rob_len() < self.cfg.rob_size {
                 return from; // dispatch will make progress
             }
         }
@@ -881,15 +1004,16 @@ impl Core {
 
     /// One-line state dump for stall diagnostics.
     pub fn debug_state(&self) -> String {
-        let head = self.rob.front();
-        let ev: Vec<String> = self
-            .events
+        let head = self.rob_head();
+        let mut pending: Vec<(Cycle, u64)> = self.events.iter().map(|r| r.0).collect();
+        pending.sort_unstable();
+        let ev: Vec<String> = pending
             .iter()
-            .map(|std::cmp::Reverse((t, seq, k))| format!("t={t} seq={seq} k={k}"))
+            .map(|(t, seq)| format!("t={t} seq={seq}"))
             .collect();
         format!(
             "rob={}/{} head_seq={} head={:?} mshr={} sb={} fetch_stall={} ifetch={:?} events=[{}]",
-            self.rob.len(),
+            self.rob_len(),
             self.cfg.rob_size,
             self.head_seq,
             head.map(|e| (e.kind, e.done_at, e.unresolved, e.ready_hint, e.vaddr)),
@@ -904,15 +1028,12 @@ impl Core {
     /// Advances the core by one cycle, pushing uncore requests into `out`.
     pub fn tick(&mut self, now: Cycle, out: &mut Vec<UncoreRequest>) {
         // Process due events.
-        while let Some(&Reverse((t, seq, kind))) = self.events.peek() {
+        while let Some(&Reverse((t, seq))) = self.events.peek() {
             if t > now {
                 break;
             }
             self.events.pop();
-            match kind {
-                EV_LOAD_ISSUE => self.load_issue(seq, t.max(now), out),
-                _ => unreachable!("unknown event kind"),
-            }
+            self.load_issue(seq, t.max(now), out);
         }
         self.retire(now);
         self.drain_store(now, out);
@@ -1175,6 +1296,112 @@ mod tests {
         assert!(
             s.l1_prefetches > 50,
             "stride prefetcher should fire on libquantum-like: {s:?}"
+        );
+    }
+
+    #[test]
+    fn a_producer_wakes_its_consumers_in_dispatch_order() {
+        // One missing load feeds twelve ALU µops. With four INT ports,
+        // the wakeup order decides which consumers issue first.
+        let mut uops = vec![load(0x400000, 0x10_0000_0000, 1, None)];
+        uops.extend((1..=12u64).map(|i| MicroOp {
+            pc: 0x400000 + i * 4,
+            kind: UopKind::Int,
+            dst: Some(Reg(2 + (i % 6) as u8)),
+            srcs: [Some(Reg(1)), None],
+            mem: None,
+            branch: None,
+        }));
+        uops.push(branch(0x400000 + 13 * 4, 0x400000));
+        let mut core = core_with(uops);
+        let mut reqs = Vec::new();
+        let mut ifetch = Vec::new();
+        let mut missed = None;
+        // Instruction fetches fill after ten cycles; the data miss waits
+        // (the cold page walks end well before cycle 400).
+        for now in 0..400 {
+            ifetch.retain(|&(at, line)| {
+                if at == now {
+                    core.fill(line, now, &mut Vec::new());
+                }
+                at > now
+            });
+            core.tick(now, &mut reqs);
+            for r in reqs.drain(..) {
+                match r {
+                    UncoreRequest::Read {
+                        line, ifetch: true, ..
+                    } => ifetch.push((now + 10, line)),
+                    UncoreRequest::Read {
+                        line,
+                        class: ReqClass::Demand,
+                        ..
+                    } => {
+                        missed.get_or_insert(line);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let line = missed.expect("the load misses the cold DL1");
+        assert!(core.entry_mut(0).unwrap().done_at.is_none());
+        core.fill(line, 400, &mut reqs);
+        assert_eq!(core.entry_mut(0).unwrap().done_at, Some(401));
+        let done: Vec<Cycle> = (1..=12)
+            .map(|seq| core.entry_mut(seq).unwrap().done_at.expect("woken"))
+            .collect();
+        // Each consumer takes the first free INT port after the one
+        // woken before it, so in wakeup order the cycles never go back;
+        // four ports per cycle spread twelve consumers over three.
+        assert!(done.windows(2).all(|w| w[0] <= w[1]), "{done:?}");
+        assert!(done[0] < done[11], "{done:?}");
+    }
+
+    #[test]
+    fn waiter_slab_reuses_released_nodes() {
+        // A long branchy run with loads: every consumer of an
+        // outstanding producer takes a waiter node. Live nodes are at
+        // most two per ROB entry, so the slab stays within that bound
+        // only if released nodes are reused.
+        let spec = bosim_trace::BenchmarkSpec {
+            name: "branchy-loads".into(),
+            short: "t".into(),
+            kernels: vec![
+                bosim_trace::KernelCfg::Branchy(bosim_trace::synth::BranchyCfg {
+                    ops_per_branch: 4,
+                    taken_permille: 500,
+                    predictable_permille: 500,
+                    resident_bytes: 1 << 20,
+                    load_every: 3,
+                    code_blocks: 1,
+                }),
+                bosim_trace::KernelCfg::Chase(bosim_trace::synth::ChaseCfg {
+                    region_bytes: 1 << 20,
+                    chains: 4,
+                    compute_per_load: 2,
+                    branch_every: 1,
+                }),
+            ],
+            schedule: bosim_trace::Schedule::Interleaved(vec![2, 1]),
+            seed: 5,
+            external: None,
+        };
+        let mut core = Core::new(
+            CoreId(0),
+            CoreConfig::default(),
+            Box::new(spec.build()),
+            PageSize::K4,
+            5,
+            stride_l1(),
+        );
+        let mut unc = FixedUncore::new(80);
+        unc.run(&mut core, 100_000);
+        let s = core.stats();
+        assert!(s.mispredicts > 2_000 && s.loads > 10_000, "{s:?}");
+        let nodes = core.waiters.nodes.len();
+        assert!(
+            nodes > 0 && nodes <= 2 * core.cfg.rob_size,
+            "{nodes} waiter nodes"
         );
     }
 

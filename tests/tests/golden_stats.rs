@@ -44,8 +44,8 @@ fn quick(prefetcher: PrefetcherHandle, seed: u64) -> SimConfig {
 }
 
 /// A behaviour-diverse slice of the suite: streaming, pointer-chasing,
-/// mixed, compute-bound and store-heavy benchmarks.
-const BENCHES: &[&str] = &["462", "429", "433", "444", "470", "401"];
+/// mixed, compute-bound, store-heavy and mispredict-heavy benchmarks.
+const BENCHES: &[&str] = &["462", "429", "433", "444", "470", "401", "445", "458"];
 
 #[test]
 fn golden_stats_across_the_suite() {
