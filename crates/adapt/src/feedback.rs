@@ -8,7 +8,7 @@
 //! is a pure function of this record, which keeps policies deterministic
 //! and unit-testable without a simulator.
 
-use bosim_stats::Json;
+use bosim_stats::{DecodeError, Json};
 
 /// One prefetch site's counter deltas over an epoch (the L1/L3 blocks
 /// of [`EpochFeedback`]; the L2 site — the paper's subject and what
@@ -48,6 +48,21 @@ impl SiteFeedback {
             ("unused_evicted", Json::from(self.unused_evicted)),
             ("accuracy", Json::from(self.accuracy())),
         ])
+    }
+
+    /// Decodes [`to_json`](Self::to_json)'s output (the derived
+    /// `accuracy` is recomputed, not read).
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] naming the first missing or ill-typed counter.
+    pub fn from_json(doc: &Json) -> Result<SiteFeedback, DecodeError> {
+        Ok(SiteFeedback {
+            issued: doc.u64_field("issued")?,
+            prefetch_fills: doc.u64_field("prefetch_fills")?,
+            useful_fills: doc.u64_field("useful_fills")?,
+            unused_evicted: doc.u64_field("unused_evicted")?,
+        })
     }
 }
 
@@ -165,6 +180,35 @@ impl EpochFeedback {
             ("l1_tlb_drops", Json::from(self.l1_tlb_drops)),
             ("l3", self.l3.to_json()),
         ])
+    }
+
+    /// Decodes [`to_json`](Self::to_json)'s output. The derived rates
+    /// (`ipc`, `accuracy`, `coverage`, `lateness`) are recomputed from
+    /// the counters, not read.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] naming the first missing or ill-typed field.
+    pub fn from_json(doc: &Json) -> Result<EpochFeedback, DecodeError> {
+        Ok(EpochFeedback {
+            epoch: doc.u64_field("epoch")?,
+            start_cycle: doc.u64_field("start_cycle")?,
+            cycles: doc.u64_field("cycles")?,
+            instructions: doc.u64_field("instructions")?,
+            l2_accesses: doc.u64_field("l2_accesses")?,
+            l2_misses: doc.u64_field("l2_misses")?,
+            issued: doc.u64_field("issued")?,
+            prefetch_fills: doc.u64_field("prefetch_fills")?,
+            useful_fills: doc.u64_field("useful_fills")?,
+            unused_evicted: doc.u64_field("unused_evicted")?,
+            late_promotions: doc.u64_field("late_promotions")?,
+            dram_reads: doc.u64_field("dram_reads")?,
+            dram_writes: doc.u64_field("dram_writes")?,
+            bus_occupancy: doc.f64_field("bus_occupancy")?,
+            l1_prefetches: doc.u64_field("l1_prefetches")?,
+            l1_tlb_drops: doc.u64_field("l1_tlb_drops")?,
+            l3: SiteFeedback::from_json(doc.field("l3")?).map_err(|e| e.within("l3"))?,
+        })
     }
 }
 

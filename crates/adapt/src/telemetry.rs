@@ -9,7 +9,7 @@
 //! invariants the CI smoke arm pins down.
 
 use crate::EpochFeedback;
-use bosim_stats::{Align, Json, Table};
+use bosim_stats::{Align, DecodeError, Json, Table};
 
 /// One applied-or-rejected directive at an epoch boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +51,34 @@ impl EpochRecord {
         ));
         Json::Obj(obj)
     }
+
+    fn from_json(doc: &Json) -> Result<EpochRecord, DecodeError> {
+        Ok(EpochRecord {
+            feedback: EpochFeedback::from_json(doc)?,
+            prefetcher: doc.str_field("prefetcher")?.to_string(),
+            directives: decode_items(doc, "directives", |d| {
+                Ok(DirectiveRecord {
+                    directive: d.str_field("directive")?.to_string(),
+                    applied: d.bool_field("applied")?,
+                })
+            })?,
+        })
+    }
+}
+
+/// Decodes every element of array field `key` with `item`, naming the
+/// failing element's index in the error path.
+fn decode_items<T>(
+    doc: &Json,
+    key: &str,
+    item: impl Fn(&Json) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    doc.arr_field(key)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| item(v).map_err(|e| e.within(&format!("[{i}]"))))
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.within(key))
 }
 
 /// The complete adaptation history of one simulation run.
@@ -143,6 +171,23 @@ impl AdaptTelemetry {
                 Json::arr(self.epochs.iter().map(EpochRecord::to_json)),
             ),
         ])
+    }
+
+    /// Decodes [`to_json`](Self::to_json)'s output: re-rendering the
+    /// decoded telemetry reproduces the input bytes.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] whose path names the first missing or
+    /// ill-typed field (e.g. `epochs[2].l3.issued`).
+    pub fn from_json(doc: &Json) -> Result<AdaptTelemetry, DecodeError> {
+        Ok(AdaptTelemetry {
+            policy: doc.str_field("policy")?.to_string(),
+            epoch_cycles: doc.u64_field("epoch_cycles")?,
+            epochs: decode_items(doc, "epochs", EpochRecord::from_json)?,
+            applied: doc.u64_field("directives_applied")?,
+            rejected: doc.u64_field("directives_rejected")?,
+        })
     }
 
     /// An aligned text table of the epoch history — the human-readable
@@ -293,5 +338,21 @@ mod tests {
         let table = t.table().to_tsv();
         assert!(table.contains("degree=2"), "{table}");
         assert!(table.starts_with("epoch\tprefetcher\tipc"));
+    }
+
+    #[test]
+    fn json_decodes_back_to_the_same_bytes() {
+        let mut r = record(1, 100, 80, 5);
+        r.feedback.bus_occupancy = f64::NAN; // rendered as null
+        r.feedback.l3.issued = 7;
+        let t = telemetry(vec![record(0, 10, 2, 1), r]);
+        let text = t.to_json().to_string();
+        let back = AdaptTelemetry::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.epochs[1].feedback.l3.issued, 7);
+
+        let bad = text.replacen("\"issued\":7", "\"issued\":\"7\"", 1);
+        let err = AdaptTelemetry::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(err.path, "epochs[1].l3.issued", "{err}");
     }
 }

@@ -26,13 +26,15 @@
 //! threading, speedup pairing by benchmark, geometric-mean summaries and
 //! structured [`Report`] output.
 
-use crate::report::{arm_gm, ArmReport, Layout, Report, RunSummary};
+use crate::journal::{JobRow, JournalError};
+use crate::report::{Layout, Report};
 use crate::{cfg_label, selected_benchmarks, six_baselines, threads};
 use bosim::{run_jobs, ConfigError, Job, RunnerError, SimConfig, SimResult};
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::PageSize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The per-run quantity an experiment reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,20 +49,11 @@ pub enum Metric {
 }
 
 impl Metric {
-    fn value(self, r: &SimResult) -> f64 {
+    /// The metric's value in one row (rows carry both metrics).
+    pub(crate) fn row_value(self, row: &JobRow) -> f64 {
         match self {
-            Metric::Ipc => r.ipc(),
-            Metric::DramPerKi => r.dram_accesses_per_ki(),
-        }
-    }
-
-    /// The metric value out of a journaled row (the same quantity
-    /// [`value`](Self::value) extracts from a live result — rows store
-    /// both so a resumed sweep can assemble either metric).
-    pub(crate) fn row_value(self, ipc: f64, dram_per_ki: f64) -> f64 {
-        match self {
-            Metric::Ipc => ipc,
-            Metric::DramPerKi => dram_per_ki,
+            Metric::Ipc => row.ipc,
+            Metric::DramPerKi => row.dram_per_ki,
         }
     }
 
@@ -105,6 +98,8 @@ pub enum ExperimentError {
     },
     /// The job grid failed to run.
     Runner(RunnerError),
+    /// The report could not be assembled from the grid's rows.
+    Report(JournalError),
     /// A `--reps` repetition of the grid produced different results —
     /// the simulator broke its determinism promise.
     NonDeterministic {
@@ -130,6 +125,7 @@ impl fmt::Display for ExperimentError {
                 write!(f, "arm {series:?} has an invalid configuration: {error}")
             }
             ExperimentError::Runner(e) => write!(f, "experiment grid failed: {e}"),
+            ExperimentError::Report(e) => write!(f, "cannot assemble the report: {e}"),
             ExperimentError::NonDeterministic { rep, job } => write!(
                 f,
                 "repetition {rep} diverged from repetition 1 on {job}: \
@@ -144,6 +140,7 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::InvalidConfig { error, .. } => Some(error),
             ExperimentError::Runner(e) => Some(e),
+            ExperimentError::Report(e) => Some(e),
             ExperimentError::NoArms
             | ExperimentError::MixedBaselines { .. }
             | ExperimentError::NonDeterministic { .. } => None,
@@ -314,10 +311,10 @@ impl Experiment {
 
     /// Resolves the experiment into an [`ExperimentPlan`]: the
     /// deduplicated job list plus everything needed to assemble the
-    /// [`Report`] once results exist. `run` is `plan` + execute +
-    /// [`assemble`](ExperimentPlan::assemble); a resumable sweep
-    /// (`bosim serve`) executes the same plan job by job, journalling
-    /// each completed cell.
+    /// [`Report`] once results exist. `run` is `plan`, then execute,
+    /// then one [`row`](ExperimentPlan::row) per result, then
+    /// [`report`](ExperimentPlan::report); a resumable sweep
+    /// (`bosim serve`) takes the same path and also journals each row.
     ///
     /// # Errors
     ///
@@ -424,8 +421,8 @@ impl Experiment {
         })
     }
 
-    /// Runs the deduplicated grid on the worker pool and assembles the
-    /// [`Report`].
+    /// Runs the deduplicated grid on the worker pool, distils each
+    /// result into a row and assembles the [`Report`] from the rows.
     ///
     /// # Errors
     ///
@@ -444,13 +441,32 @@ impl Experiment {
             threads,
         );
         let t0 = std::time::Instant::now();
-        let results = run_jobs(&plan.jobs, threads)?;
+        let mut rows = BTreeMap::new();
+        // Extra repetitions are checked against the first one's full
+        // results, which are kept only when there are extra repetitions.
+        let mut first: Vec<Option<SimResult>> = Vec::new();
+        if self.reps > 1 {
+            first.resize_with(plan.jobs.len(), || None);
+        }
+        run_jobs(&plan.jobs, threads, |i, result| {
+            rows.insert(i, plan.row(i, &result));
+            if let Some(slot) = first.get_mut(i) {
+                *slot = Some(result);
+            }
+            ControlFlow::Continue(())
+        })?;
         // Extra repetitions re-run the identical grid and must reproduce
         // it exactly; any drift is a determinism bug, so the whole
         // experiment fails rather than silently averaging it away.
         for rep in 2..=self.reps {
-            let again = run_jobs(&plan.jobs, threads)?;
-            if let Some(i) = (0..plan.jobs.len()).find(|&i| again[i] != results[i]) {
+            let mut diverged: Option<usize> = None;
+            run_jobs(&plan.jobs, threads, |i, result| {
+                if first[i].as_ref() != Some(&result) {
+                    diverged = Some(diverged.map_or(i, |d| d.min(i)));
+                }
+                ControlFlow::Continue(())
+            })?;
+            if let Some(i) = diverged {
                 return Err(ExperimentError::NonDeterministic {
                     rep,
                     job: format!(
@@ -471,7 +487,7 @@ impl Experiment {
                 String::new()
             }
         );
-        Ok(plan.assemble(&results))
+        plan.report(&rows).map_err(ExperimentError::Report)
     }
 
     /// Runs the experiment and emits the report (tables + JSON file);
@@ -510,10 +526,10 @@ pub struct PlannedArm {
 /// needed to assemble the [`Report`] once every job has a result.
 ///
 /// Produced by [`Experiment::plan`]. [`Experiment::run`] executes the
-/// whole grid in one process; `bosim serve` executes the same plan one
-/// job at a time, journalling each completed cell (see
-/// [`journal`](crate::journal)) so a killed sweep resumes without
-/// re-running finished work.
+/// whole grid in one process; `bosim serve` executes the same plan and
+/// journals each completed cell's row (see [`journal`](crate::journal))
+/// so a killed sweep resumes without re-running finished work. Both
+/// assemble the report with [`report`](Self::report).
 #[derive(Debug, Clone)]
 pub struct ExperimentPlan {
     pub(crate) name: String,
@@ -590,55 +606,6 @@ impl ExperimentPlan {
             text.push('\n');
         }
         format!("{:016x}", crate::journal::fnv64(text.as_bytes()))
-    }
-
-    /// Assembles the [`Report`] out of one result per planned job
-    /// (same order as [`jobs`](Self::jobs)).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `results` is shorter than the job list.
-    pub fn assemble(&self, results: &[SimResult]) -> Report {
-        let arms = self
-            .arms
-            .iter()
-            .zip(&self.lookup)
-            .map(|(arm, row)| {
-                let values: Vec<f64> = row
-                    .iter()
-                    .map(|&(s, b)| {
-                        let subject = self.metric.value(&results[s]);
-                        match b {
-                            Some(b) => subject / self.metric.value(&results[b]),
-                            None => subject,
-                        }
-                    })
-                    .collect();
-                ArmReport {
-                    series: arm.series.clone(),
-                    group: arm.group.clone(),
-                    config: arm.config.clone(),
-                    baseline: arm.baseline.clone(),
-                    gm: arm_gm(&values, self.with_gm),
-                    runs: row
-                        .iter()
-                        .map(|&(s, _)| RunSummary::from(&results[s]))
-                        .collect(),
-                    values,
-                }
-            })
-            .collect();
-
-        Report {
-            name: self.name.clone(),
-            title: self.title.clone(),
-            metric: self.metric.label(self.paired).to_string(),
-            benchmarks: self.benchmarks.iter().map(|b| b.short.clone()).collect(),
-            arms,
-            layout: self.layout,
-            with_gm: self.with_gm,
-            decimals: self.decimals,
-        }
     }
 }
 

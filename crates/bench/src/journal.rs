@@ -1,17 +1,19 @@
-//! Journaled grid cells: the resumable execution mode of an
-//! [`ExperimentPlan`].
+//! Grid cells as rows, and the one report assembler.
 //!
-//! A long-running sweep (`bosim serve`) does not hold its grid in
-//! memory until the end: every completed job becomes a [`JobRow`] —
-//! the benchmark/config labels, both metric values, and the full
-//! [`RunSummary`] JSON subtree — appended to an on-disk journal as soon
-//! as it finishes. After a crash, the rows already journaled are loaded
-//! back and only the missing jobs run; the final report is assembled
-//! *from rows* in both the interrupted and the uninterrupted case
-//! ([`ExperimentPlan::report_json_from_rows`]), which is what makes the
-//! resumed report byte-identical to an uninterrupted one: the report
-//! depends only on the row set, never on completion order or on which
-//! process produced a row.
+//! Every completed job of an [`ExperimentPlan`] becomes a [`JobRow`]:
+//! the benchmark/config labels, both metric values, and the run's
+//! [`RunSummary`]. [`ExperimentPlan::report`] builds the [`Report`] from
+//! one row per planned job, and it is the only code that computes arm
+//! values and geometric means. [`Experiment::run`](crate::Experiment::run)
+//! keeps its rows in memory; a long-running sweep (`bosim serve`)
+//! appends each row to an on-disk journal as soon as its job finishes
+//! and, after a crash, loads the rows back and runs only the missing
+//! jobs. Both then call `report` on the same row set, and a row decoded
+//! from journal text ([`JobRow::from_json`]) renders byte-identically to
+//! the row it was written from, so a resumed sweep's report is
+//! byte-identical to an uninterrupted one and to `Experiment::run`'s:
+//! the report depends only on the row set, never on completion order or
+//! on which process produced a row.
 //!
 //! Rows are keyed by [`ExperimentPlan::job_key`] — a restart-stable
 //! identity hashing the benchmark and the full configuration — so a
@@ -25,9 +27,9 @@
 //! D002 rule keeps this module clock-free.
 
 use crate::experiment::ExperimentPlan;
-use crate::report::{arm_gm, RunSummary};
+use crate::report::{arm_gm, ArmReport, Report, RunSummary};
 use bosim::SimResult;
-use bosim_stats::Json;
+use bosim_stats::{DecodeError, Json};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -63,9 +65,8 @@ pub struct JobRow {
     /// DRAM accesses per kilo-instruction — the
     /// [`Metric::DramPerKi`](crate::Metric::DramPerKi) value.
     pub dram_per_ki: f64,
-    /// The full [`RunSummary`] JSON subtree, embedded verbatim in the
-    /// assembled report.
-    pub summary: Json,
+    /// The run's summary statistics, as the report's `runs` carry them.
+    pub summary: RunSummary,
 }
 
 /// A failure while decoding a journal row or assembling a report from
@@ -99,14 +100,6 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-fn as_u64(j: &Json) -> Option<u64> {
-    match *j {
-        Json::UInt(u) => Some(u),
-        Json::Int(i) => u64::try_from(i).ok(),
-        _ => None,
-    }
-}
-
 impl JobRow {
     /// The compact JSON form written as one journal line.
     pub fn to_json(&self) -> Json {
@@ -117,52 +110,38 @@ impl JobRow {
             ("config", Json::from(self.config.as_str())),
             ("ipc", Json::from(self.ipc)),
             ("dram_per_ki", Json::from(self.dram_per_ki)),
-            ("summary", self.summary.clone()),
+            ("summary", self.summary.to_json()),
         ])
     }
 
-    /// Decodes one journal line's JSON document.
+    /// Decodes one journal line's JSON document, summary included.
     ///
     /// # Errors
     ///
     /// Returns [`JournalError::BadRow`] naming the first missing or
-    /// ill-typed field.
+    /// ill-typed field (a path such as `summary.adapt.epochs[3].cycles`
+    /// inside the summary).
     pub fn from_json(doc: &Json) -> Result<JobRow, JournalError> {
-        let field = |key: &str| {
-            doc.get(key).ok_or_else(|| JournalError::BadRow {
-                what: format!("missing field {key:?}"),
+        let decode = || -> Result<JobRow, DecodeError> {
+            Ok(JobRow {
+                job: doc.u64_field("job")? as usize,
+                key: doc.str_field("key")?.to_string(),
+                benchmark: doc.str_field("benchmark")?.to_string(),
+                config: doc.str_field("config")?.to_string(),
+                ipc: doc.f64_field("ipc")?,
+                dram_per_ki: doc.f64_field("dram_per_ki")?,
+                summary: RunSummary::from_json(doc.field("summary")?)
+                    .map_err(|e| e.within("summary"))?,
             })
         };
-        let str_field = |key: &str| {
-            field(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| JournalError::BadRow {
-                    what: format!("field {key:?} is not a string"),
-                })
-        };
-        let num_field = |key: &str| {
-            field(key)?.as_f64().ok_or_else(|| JournalError::BadRow {
-                what: format!("field {key:?} is not a number"),
-            })
-        };
-        let job = as_u64(field("job")?).ok_or_else(|| JournalError::BadRow {
-            what: "field \"job\" is not a non-negative integer".to_string(),
-        })? as usize;
-        Ok(JobRow {
-            job,
-            key: str_field("key")?,
-            benchmark: str_field("benchmark")?,
-            config: str_field("config")?,
-            ipc: num_field("ipc")?,
-            dram_per_ki: num_field("dram_per_ki")?,
-            summary: field("summary")?.clone(),
+        decode().map_err(|e| JournalError::BadRow {
+            what: e.to_string(),
         })
     }
 }
 
 impl ExperimentPlan {
-    /// Distils a finished job into its journal row.
+    /// Distils a finished job into its row.
     ///
     /// # Panics
     ///
@@ -175,27 +154,20 @@ impl ExperimentPlan {
             config: result.config.clone(),
             ipc: result.ipc(),
             dram_per_ki: result.dram_accesses_per_ki(),
-            summary: RunSummary::from(result).to_json(),
+            summary: RunSummary::from(result),
         }
     }
 
-    /// Assembles the report JSON document from one row per planned job.
-    ///
-    /// The output is byte-identical to
-    /// `self.assemble(results).to_json()` when the rows were distilled
-    /// from `results` via [`row`](Self::row) — including rows that went
-    /// through a journal round trip — because every number either
-    /// round-trips exactly through JSON or is recomputed here from
-    /// round-tripped inputs with the same float operations.
+    /// Assembles the [`Report`] from one row per planned job: each arm's
+    /// per-benchmark values (the subject's metric, divided by the
+    /// baseline's when the arm has one), its geometric mean and its
+    /// subject runs.
     ///
     /// # Errors
     ///
     /// Returns [`JournalError::MissingRow`] when a planned job has no
     /// row.
-    pub fn report_json_from_rows(
-        &self,
-        rows: &BTreeMap<usize, JobRow>,
-    ) -> Result<Json, JournalError> {
+    pub fn report(&self, rows: &BTreeMap<usize, JobRow>) -> Result<Report, JournalError> {
         let get = |job: usize| {
             rows.get(&job).ok_or_else(|| JournalError::MissingRow {
                 job,
@@ -203,47 +175,50 @@ impl ExperimentPlan {
             })
         };
         let mut arms = Vec::with_capacity(self.arms.len());
-        for (arm, row) in self.arms.iter().zip(&self.lookup) {
-            let mut values = Vec::with_capacity(row.len());
-            for &(s, b) in row {
-                let sr = get(s)?;
-                let subject = self.metric.row_value(sr.ipc, sr.dram_per_ki);
+        for (arm, cells) in self.arms.iter().zip(&self.lookup) {
+            let mut values = Vec::with_capacity(cells.len());
+            let mut runs = Vec::with_capacity(cells.len());
+            for &(s, b) in cells {
+                let subject = get(s)?;
+                let value = self.metric.row_value(subject);
                 values.push(match b {
-                    Some(b) => {
-                        let br = get(b)?;
-                        subject / self.metric.row_value(br.ipc, br.dram_per_ki)
-                    }
-                    None => subject,
+                    Some(b) => value / self.metric.row_value(get(b)?),
+                    None => value,
                 });
+                runs.push(subject.summary.clone());
             }
-            let gm = arm_gm(&values, self.with_gm);
-            let mut runs = Vec::with_capacity(row.len());
-            for &(s, _) in row {
-                runs.push(get(s)?.summary.clone());
-            }
-            arms.push(Json::obj([
-                ("series", Json::from(arm.series.as_str())),
-                ("group", Json::from(arm.group.as_deref().map(Json::from))),
-                ("config", Json::from(arm.config.as_str())),
-                (
-                    "baseline",
-                    Json::from(arm.baseline.as_deref().map(Json::from)),
-                ),
-                ("gm", Json::from(gm)),
-                ("values", Json::arr(values.into_iter().map(Json::from))),
-                ("runs", Json::arr(runs)),
-            ]));
+            arms.push(ArmReport {
+                series: arm.series.clone(),
+                group: arm.group.clone(),
+                config: arm.config.clone(),
+                baseline: arm.baseline.clone(),
+                gm: arm_gm(&values, self.with_gm),
+                values,
+                runs,
+            });
         }
-        Ok(Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("title", Json::from(self.title.as_str())),
-            ("metric", Json::from(self.metric.label(self.paired))),
-            (
-                "benchmarks",
-                Json::arr(self.benchmarks.iter().map(|b| Json::from(b.short.as_str()))),
-            ),
-            ("arms", Json::arr(arms)),
-        ]))
+        Ok(Report {
+            name: self.name.clone(),
+            title: self.title.clone(),
+            metric: self.metric.label(self.paired).to_string(),
+            benchmarks: self.benchmarks.iter().map(|b| b.short.clone()).collect(),
+            arms,
+            layout: self.layout,
+            with_gm: self.with_gm,
+            decimals: self.decimals,
+        })
+    }
+
+    /// The JSON document of [`report`](Self::report).
+    ///
+    /// # Errors
+    ///
+    /// As [`report`](Self::report).
+    pub fn report_json_from_rows(
+        &self,
+        rows: &BTreeMap<usize, JobRow>,
+    ) -> Result<Json, JournalError> {
+        self.report(rows).map(|r| r.to_json())
     }
 }
 
@@ -251,13 +226,34 @@ impl ExperimentPlan {
 mod tests {
     use super::*;
     use crate::Experiment;
-    use bosim::{run_jobs, SimConfig};
+    use bosim::adapt::{policies, AdaptConfig};
+    use bosim::{run_job, SimConfig};
+    use bosim_types::SplitMix64;
 
     fn tiny(cfg: SimConfig) -> SimConfig {
         SimConfig {
             warmup_instructions: 2_000,
             measure_instructions: 10_000,
             ..cfg
+        }
+    }
+
+    fn summary(ipc: f64) -> RunSummary {
+        RunSummary {
+            benchmark: "456.hmmer-like".into(),
+            config: "4KB/1-core/next-line".into(),
+            ipc,
+            dram_per_ki: f64::NAN, // rendered as null
+            l2_miss_per_ki: 0.5,
+            instructions: 10_000,
+            cycles: 8_100,
+            l1_prefetches: 0,
+            l1_prefetch_tlb_drops: 0,
+            l2_prefetches_issued: 12,
+            l2_prefetch_fills: 11,
+            l3_prefetches_issued: 0,
+            l3_prefetch_fills: 0,
+            adapt: None,
         }
     }
 
@@ -279,11 +275,14 @@ mod tests {
             config: "4KB/1-core/next-line".into(),
             ipc: 1.234567890123,
             dram_per_ki: 0.1 + 0.2, // deliberately non-representable
-            summary: Json::obj([("ipc", Json::Num(1.234567890123))]),
+            summary: summary(1.234567890123),
         };
         let text = row.to_json().to_string();
         let back = JobRow::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, row);
+        assert_eq!(back.job, row.job);
+        assert_eq!(back.dram_per_ki, row.dram_per_ki);
+        assert!(back.summary.dram_per_ki.is_nan(), "null decodes to NaN");
+        assert_eq!(back.summary.to_string(), row.summary.to_json().to_string());
         // And re-emission is byte-identical (shortest-repr idempotence).
         assert_eq!(back.to_json().to_string(), text);
     }
@@ -300,33 +299,110 @@ mod tests {
             .unwrap();
         let err = JobRow::from_json(&doc).unwrap_err();
         assert!(err.to_string().contains("ipc"), "{err}");
+        // A summary that is not a run summary is rejected, not embedded.
+        let row = r#"{"job":0,"key":"k","benchmark":"b","config":"c","ipc":1,"dram_per_ki":2,"summary":5}"#;
+        let err = JobRow::from_json(&Json::parse(row).unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            JournalError::BadRow {
+                what: "field summary is not an object".into()
+            }
+        );
+        let row = row.replace(
+            r#""summary":5"#,
+            &format!(r#""summary":{}"#, summary(1.0).to_json()),
+        );
+        let row = row.replace(r#""cycles":8100"#, r#""cycles":true"#);
+        let err = JobRow::from_json(&Json::parse(&row).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("summary.cycles"), "{err}");
+    }
+
+    /// One real row line of an adaptive run, so the summary carries
+    /// epoch telemetry.
+    fn adaptive_row_line() -> String {
+        let mut cfg = tiny(SimConfig::default()).with_prefetcher(bosim::prefetchers::bo_default());
+        cfg.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(1_500));
+        let plan = Experiment::new("journal_fuzz", "journal fuzz")
+            .benchmark_ids(&["462"])
+            .arm("adaptive", cfg)
+            .plan()
+            .unwrap();
+        let result = run_job(&plan.jobs()[0]);
+        plan.row(0, &result).to_json().to_string()
+    }
+
+    /// Replaces the `n`-th leaf (depth first) of `doc` with `with`;
+    /// false when `doc` has fewer leaves.
+    fn replace_leaf(doc: &mut Json, n: &mut usize, with: &Json) -> bool {
+        match doc {
+            Json::Arr(items) => items.iter_mut().any(|v| replace_leaf(v, n, with)),
+            Json::Obj(pairs) => pairs.iter_mut().any(|(_, v)| replace_leaf(v, n, with)),
+            leaf if *n == 0 => {
+                *leaf = with.clone();
+                true
+            }
+            _ => {
+                *n -= 1;
+                false
+            }
+        }
     }
 
     #[test]
-    fn rows_reassemble_the_report_byte_identically() {
-        let base = tiny(SimConfig::default());
-        let bo = base
-            .clone()
-            .with_prefetcher(bosim::prefetchers::bo_default());
-        let exp = Experiment::new("journal_rt", "journal round trip")
-            .benchmark_ids(&["456", "444"])
-            .arm_vs("BO", bo, base.clone())
-            .arm_vs("self", base.clone(), base);
-        let plan = exp.plan().unwrap();
-        let results = run_jobs(plan.jobs(), 2).unwrap();
-        let direct = plan.assemble(&results).to_json().to_pretty();
+    fn mutated_row_lines_decode_or_fail_typed() {
+        let line = adaptive_row_line();
+        let row = JobRow::from_json(&Json::parse(&line).unwrap()).unwrap();
+        let epochs = row.summary.adapt.as_ref().map_or(0, |a| a.epochs.len());
+        assert!(epochs >= 2, "want epoch telemetry to mutate, got {epochs}");
+        assert_eq!(row.to_json().to_string(), line);
 
-        // Distil rows, push them through journal-line text, and
-        // assemble from the parsed rows — the document must not drift
-        // by a byte.
-        let mut rows = BTreeMap::new();
-        for (i, r) in results.iter().enumerate() {
-            let line = plan.row(i, r).to_json().to_string();
-            let back = JobRow::from_json(&Json::parse(&line).unwrap()).unwrap();
-            rows.insert(back.job, back);
+        // Byte mutations: every decode either succeeds, and then
+        // re-renders to a fixed point, or returns a typed error; it
+        // never panics.
+        let check = |bytes: &[u8]| {
+            let Some(doc) = std::str::from_utf8(bytes)
+                .ok()
+                .and_then(|t| Json::parse(t).ok())
+            else {
+                return;
+            };
+            if let Ok(row) = JobRow::from_json(&doc) {
+                let text = row.to_json().to_string();
+                let again = JobRow::from_json(&Json::parse(&text).unwrap()).unwrap();
+                assert_eq!(again.to_json().to_string(), text);
+            }
+        };
+        let bytes = line.as_bytes();
+        let mut rng = SplitMix64::new(0x0b5e_55ed);
+        for pos in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[pos] ^= 1 << (rng.next_u64() % 8);
+            check(&flipped);
+            let mut cut = bytes.to_vec();
+            cut.remove(pos);
+            check(&cut);
+            let mut grown = bytes.to_vec();
+            grown.insert(pos, b"0\"-]}n,"[(rng.next_u64() % 7) as usize]);
+            check(&grown);
         }
-        let from_rows = plan.report_json_from_rows(&rows).unwrap().to_pretty();
-        assert_eq!(from_rows, direct);
+
+        // Type mutations: every leaf the decoder reads is type-checked.
+        // The only leaves it skips are the derived rates it recomputes:
+        // an epoch's ipc, accuracy, coverage, lateness and l3 accuracy.
+        let (mut leaves, mut rejected) = (0, 0);
+        loop {
+            let mut doc = Json::parse(&line).unwrap();
+            if !replace_leaf(&mut doc, &mut leaves.clone(), &Json::Arr(Vec::new())) {
+                break;
+            }
+            leaves += 1;
+            match JobRow::from_json(&doc) {
+                Ok(_) => {}
+                Err(JournalError::BadRow { .. }) => rejected += 1,
+                Err(other) => panic!("untyped failure {other:?}"),
+            }
+        }
+        assert_eq!(rejected, leaves - 5 * epochs);
     }
 
     #[test]
@@ -335,7 +411,7 @@ mod tests {
             .benchmark_ids(&["456"])
             .arm("base", tiny(SimConfig::default()));
         let plan = exp.plan().unwrap();
-        let err = plan.report_json_from_rows(&BTreeMap::new()).unwrap_err();
+        let err = plan.report(&BTreeMap::new()).unwrap_err();
         match err {
             JournalError::MissingRow { job, ref key } => {
                 assert_eq!(job, 0);

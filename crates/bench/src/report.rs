@@ -8,13 +8,14 @@
 
 use bosim::SimResult;
 use bosim_adapt::AdaptTelemetry;
-use bosim_stats::{geometric_mean, Align, Json, Table};
+use bosim_stats::{geometric_mean, Align, DecodeError, Json, Table};
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Key statistics of one simulation run (one grid cell).
 // bosim-lint: schema(run-summary)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Benchmark name (e.g. `"433.milc-like"`).
     pub benchmark: String,
@@ -74,7 +75,9 @@ impl From<&SimResult> for RunSummary {
 }
 
 impl RunSummary {
-    pub(crate) fn to_json(&self) -> Json {
+    /// The JSON object the report's `runs` arrays and journal rows
+    /// carry.
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("benchmark", Json::from(self.benchmark.as_str())),
             ("config", Json::from(self.config.as_str())),
@@ -106,6 +109,45 @@ impl RunSummary {
                     .unwrap_or(Json::Null),
             ),
         ])
+    }
+
+    /// Decodes [`to_json`](Self::to_json)'s output, so that re-rendering
+    /// the decoded summary reproduces the input bytes (non-finite
+    /// rates render as `null` and decode back to NaN).
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] whose path names the first missing or
+    /// ill-typed field (e.g. `adapt.epochs[0].cycles`).
+    pub fn from_json(doc: &Json) -> Result<RunSummary, DecodeError> {
+        let adapt = match doc.field("adapt")? {
+            Json::Null => None,
+            a => Some(AdaptTelemetry::from_json(a).map_err(|e| e.within("adapt"))?),
+        };
+        Ok(RunSummary {
+            benchmark: doc.str_field("benchmark")?.to_string(),
+            config: doc.str_field("config")?.to_string(),
+            ipc: doc.f64_field("ipc")?,
+            dram_per_ki: doc.f64_field("dram_per_ki")?,
+            l2_miss_per_ki: doc.f64_field("l2_miss_per_ki")?,
+            instructions: doc.u64_field("instructions")?,
+            cycles: doc.u64_field("cycles")?,
+            l1_prefetches: doc.u64_field("l1_prefetches")?,
+            l1_prefetch_tlb_drops: doc.u64_field("l1_prefetch_tlb_drops")?,
+            l2_prefetches_issued: doc.u64_field("l2_prefetches_issued")?,
+            l2_prefetch_fills: doc.u64_field("l2_prefetch_fills")?,
+            l3_prefetches_issued: doc.u64_field("l3_prefetches_issued")?,
+            l3_prefetch_fills: doc.u64_field("l3_prefetch_fills")?,
+            adapt,
+        })
+    }
+}
+
+/// The compact JSON of [`RunSummary::to_json`], as a journal row
+/// carries it.
+impl fmt::Display for RunSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_json().fmt(f)
     }
 }
 
@@ -332,8 +374,8 @@ impl Report {
     }
 }
 
-/// Recomputes an arm's geometric mean (used by [`Experiment`] while
-/// assembling reports).
+/// An arm's geometric mean, when the report has them and every value is
+/// positive and finite.
 pub(crate) fn arm_gm(values: &[f64], with_gm: bool) -> Option<f64> {
     if !with_gm || values.is_empty() || values.iter().any(|&v| v <= 0.0 || !v.is_finite()) {
         return None;

@@ -48,7 +48,7 @@ bosim — trace-driven Best-Offset prefetching simulator
 USAGE:
   bosim run --trace FILE [--stack STACK] [options]   replay one trace
   bosim sweep --corpus FILE [options]                run a (trace x stack) grid
-  bosim serve --corpus FILE [options]                checkpointed sharded sweep
+  bosim serve --corpus FILE [options]                checkpointed, resumable sweep
   bosim inspect FILE [--format F] [--uops N] [--json] summarise a trace
   bosim gen --bench ID --out FILE [options]          write a synthetic trace
   bosim trace --trace FILE --out FILE [options]      replay + Perfetto export
@@ -83,7 +83,7 @@ SWEEP OPTIONS:
 
 SERVE OPTIONS:
   --corpus FILE         the corpus manifest (see docs/TRACES.md)
-  --shards N            worker shard count (default: all cores)
+  --shards N            worker threads (default: all cores)
   --out DIR             journal/stream/report directory (default as above)
   --abort-after N       test hook: checkpoint N jobs, then stop with exit 1
                         (also BOSIM_SERVE_ABORT_AFTER); rerunning resumes
@@ -555,11 +555,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         )));
     }
     println!(
-        "serve complete: {} jobs ({} resumed, {} run, {} stolen); report {}",
+        "serve complete: {} jobs ({} resumed, {} run); report {}",
         summary.total,
         summary.resumed,
         summary.ran,
-        summary.stolen,
         summary
             .report_path
             .as_deref()

@@ -29,7 +29,7 @@
 //! bytes and the plan (lint rule D002 holds for this module).
 
 use bosim_bench::{ExperimentPlan, JobRow};
-use bosim_stats::Json;
+use bosim_stats::{DecodeError, Json};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -82,24 +82,13 @@ impl JournalHeader {
         ])
     }
 
-    fn from_json(doc: &Json) -> Result<JournalHeader, String> {
-        let s = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("header is missing string field {key:?}"))
-        };
-        let u = |key: &str| match doc.get(key) {
-            Some(&Json::UInt(v)) => Ok(v),
-            Some(&Json::Int(v)) if v >= 0 => Ok(v as u64),
-            _ => Err(format!("header is missing integer field {key:?}")),
-        };
+    fn from_json(doc: &Json) -> Result<JournalHeader, DecodeError> {
         Ok(JournalHeader {
-            schema: s("schema")?,
-            version: u("version")?,
-            name: s("name")?,
-            fingerprint: s("fingerprint")?,
-            jobs: u("jobs")?,
+            schema: doc.str_field("schema")?.to_string(),
+            version: doc.u64_field("version")?,
+            name: doc.str_field("name")?.to_string(),
+            fingerprint: doc.str_field("fingerprint")?.to_string(),
+            jobs: doc.u64_field("jobs")?,
         })
     }
 }
@@ -267,8 +256,10 @@ impl Journal {
                 what: "file holds no readable header line".to_string(),
             });
         };
-        let header = JournalHeader::from_json(header_doc)
-            .map_err(|what| QueueError::PlanMismatch { what })?;
+        let header =
+            JournalHeader::from_json(header_doc).map_err(|e| QueueError::PlanMismatch {
+                what: format!("header {e}"),
+            })?;
         let want = JournalHeader::of(plan);
         if header != want {
             return Err(QueueError::PlanMismatch {
@@ -352,7 +343,7 @@ impl Journal {
 mod tests {
     use super::*;
     use bosim::SimConfig;
-    use bosim_bench::Experiment;
+    use bosim_bench::{Experiment, RunSummary};
     use bosim_types::SplitMix64;
 
     fn plan(n_bench: usize) -> ExperimentPlan {
@@ -376,7 +367,22 @@ mod tests {
             config: format!("c{job}"),
             ipc: 1.0 + salt,
             dram_per_ki: 2.0 + salt,
-            summary: Json::obj([("ipc", Json::Num(1.0 + salt))]),
+            summary: RunSummary {
+                benchmark: format!("b{job}"),
+                config: format!("c{job}"),
+                ipc: 1.0 + salt,
+                dram_per_ki: 2.0 + salt,
+                l2_miss_per_ki: 0.5,
+                instructions: 10_000,
+                cycles: 9_000,
+                l1_prefetches: 0,
+                l1_prefetch_tlb_drops: 0,
+                l2_prefetches_issued: 0,
+                l2_prefetch_fills: 0,
+                l3_prefetches_issued: 0,
+                l3_prefetch_fills: 0,
+                adapt: None,
+            },
         }
     }
 
@@ -405,8 +411,8 @@ mod tests {
 
     #[test]
     fn random_interleavings_replay_to_the_same_row_set() {
-        // Property: whatever completion order (work stealing, shard
-        // count, scheduling) produced the journal, and whatever
+        // Property: whatever completion order (thread count, host
+        // scheduling) produced the journal, and whatever
         // duplicates a retried writer appended, replay yields exactly
         // one row per job with first-occurrence content.
         let p = plan(3);
@@ -436,15 +442,7 @@ mod tests {
             drop(journal);
 
             let (_, load) = Journal::open(&path, &p).unwrap();
-            // Compare serialized forms: a row whose f64 happens to be
-            // integral round-trips to Json::UInt (same bytes, different
-            // variant), and bytes are what the report is built from.
-            let ser = |rows: &BTreeMap<usize, JobRow>| -> BTreeMap<usize, String> {
-                rows.iter()
-                    .map(|(&j, r)| (j, r.to_json().to_string()))
-                    .collect()
-            };
-            assert_eq!(ser(&load.rows), ser(&expected), "trial {trial}");
+            assert_eq!(load.rows, expected, "trial {trial}");
             assert_eq!(load.stale, 0);
             assert!(!load.torn_recovered);
             let _ = std::fs::remove_file(&path);
@@ -529,6 +527,33 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         match Journal::open(&path, &p) {
             Err(QueueError::Corrupt { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mid_file_bad_summary_is_a_hard_error() {
+        // A row line that is valid JSON with a summary that is not a run
+        // summary, followed by a valid row: it cannot be a torn tail.
+        let p = plan(2);
+        let path = tmp("badsummary.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _) = Journal::open(&path, &p).unwrap();
+        journal.append(&fake_row(&p, 0, 0.0)).unwrap();
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (head, row) = text.trim_end().split_once('\n').unwrap();
+        let summary = row.find("\"summary\":").unwrap();
+        let mut text = format!("{head}\n{}\"summary\":5}}\n", &row[..summary]);
+        text.push_str(&fake_row(&p, 1, 0.5).to_json().to_string());
+        text.push('\n');
+        std::fs::write(&path, &text).unwrap();
+        match Journal::open(&path, &p) {
+            Err(QueueError::Corrupt { line, what }) => {
+                assert_eq!(line, 2);
+                assert!(what.contains("summary"), "{what}");
+            }
             other => panic!("expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);

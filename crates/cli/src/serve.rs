@@ -1,6 +1,6 @@
 //! The `bosim serve` sweep service: a corpus-scale grid runner with a
-//! persistent job queue, worker shards, work stealing, checkpointed
-//! resume and an incremental report stream.
+//! persistent job queue, checkpointed resume and an incremental report
+//! stream.
 //!
 //! # Lifecycle
 //!
@@ -10,22 +10,20 @@
 //! previous run already completed — those jobs are **never re-executed**
 //! (dedup by [job key](bosim_bench::ExperimentPlan::job_key), guarded
 //! by the plan [fingerprint](bosim_bench::ExperimentPlan::fingerprint)).
-//! The remaining jobs are dealt across worker shards
-//! ([`ShardQueues`]) which steal from each
-//! other when they run dry. Each completion is appended to the journal
-//! and echoed to the stream file *before* the next job is handed out,
-//! so a `SIGKILL` at any instant loses at most the in-flight jobs.
+//! The remaining jobs run on the workspace's one executor,
+//! [`bosim::run_jobs`], whose completion callback appends each row to
+//! the journal and echoes it to the stream file on this thread, so a
+//! `SIGKILL` at any instant loses at most the in-flight jobs.
 //!
 //! # Determinism
 //!
-//! The final report is **always** assembled from the journaled rows,
-//! sorted by job index
-//! ([`ExperimentPlan::report_json_from_rows`]) —
-//! an uninterrupted run and any kill+resume sequence walk the exact
-//! same assembly path over the exact same row set, so their report
-//! files are byte-identical. Completion order, shard count, work
-//! stealing and crash timing can only change *when* rows appear, never
-//! what the report says.
+//! The final report is **always** assembled from the journaled rows by
+//! [`ExperimentPlan::report`] — the same function `bosim sweep` and
+//! every figure binary use. An uninterrupted run and any kill+resume
+//! sequence walk the exact same assembly path over the exact same row
+//! set, so their report files are byte-identical, and identical to
+//! `bosim sweep`'s. Completion order, thread count and crash timing can
+//! only change *when* rows appear, never what the report says.
 //!
 //! # Artifacts
 //!
@@ -37,21 +35,18 @@
 
 use crate::commands::CliError;
 use crate::queue::Journal;
-use crate::shard::ShardQueues;
-use bosim::run_job;
+use bosim::{run_jobs, Job};
 use bosim_bench::{Experiment, ExperimentPlan, JobRow};
 use bosim_stats::Json;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 
 /// Tuning and test knobs for one [`serve`] invocation.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker shard count (clamped to at least 1).
+    /// Worker-thread count (clamped to at least 1; `--shards`).
     pub shards: usize,
     /// Soft-abort hook: stop handing out work after this many jobs have
     /// been journaled *by this process* (the crash/restart harness and
@@ -62,8 +57,8 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: one shard per core, no abort hook, the standard report
-    /// directory.
+    /// Defaults: one worker thread per core, no abort hook, the standard
+    /// report directory.
     pub fn new(out_dir: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             shards: bosim::default_threads(),
@@ -114,7 +109,9 @@ pub struct ServeSummary {
     pub resumed: usize,
     /// Jobs executed by this process.
     pub ran: usize,
-    /// Of [`ran`](Self::ran), jobs a shard stole from another's deque.
+    /// Always 0: workers take jobs from one shared counter, so there is
+    /// no per-worker queue to steal from. Kept because `perfbench`
+    /// reports it as `cli.jobs_stolen`.
     pub stolen: usize,
     /// Duplicate journal rows dropped on resume.
     pub duplicates: u64,
@@ -165,17 +162,7 @@ impl Stream {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs `experiment` as a checkpointed, sharded sweep. See the [module
+/// Runs `experiment` as a checkpointed sweep. See the [module
 /// docs](self) for lifecycle and determinism.
 ///
 /// # Errors
@@ -195,7 +182,6 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
     let total = plan.jobs().len();
     let journal_path = opts.out_dir.join(format!("{}.journal.jsonl", plan.name()));
     let stream_path = opts.out_dir.join(format!("{}.stream.jsonl", plan.name()));
-    let report_path = opts.out_dir.join(format!("{}.json", plan.name()));
 
     let (mut journal, load) = Journal::open(&journal_path, plan)
         .map_err(|e| CliError::Failed(format!("cannot resume sweep: {e}")))?;
@@ -214,95 +200,56 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
     stream.emit("resume", resumed as u64, None)?;
 
     let pending: Vec<usize> = (0..total).filter(|i| !rows.contains_key(i)).collect();
-    let shards = opts.shards.max(1).min(pending.len().max(1));
+    let jobs: Vec<&Job> = pending.iter().map(|&i| &plan.jobs()[i]).collect();
+    let threads = opts.shards.clamp(1, pending.len().max(1));
     eprintln!(
-        "[bosim serve] {}: {} jobs total, {} resumed from journal, {} to run on {} shard(s)",
+        "[bosim serve] {}: {} jobs total, {} resumed from journal, {} to run on {} thread(s)",
         plan.name(),
         total,
         resumed,
         pending.len(),
-        shards,
+        threads,
     );
 
-    let queues = ShardQueues::partition(&pending, shards);
-    let stop = AtomicBool::new(false);
     let mut ran = 0usize;
-    let mut stolen = 0usize;
     let mut aborted = false;
-    let mut failure: Option<String> = None;
-
-    type Done = (
-        crate::shard::ShardJob,
-        Result<Box<bosim::SimResult>, String>,
-    );
-    std::thread::scope(|s| -> Result<(), CliError> {
-        let (tx, rx) = mpsc::channel::<Done>();
-        for shard in 0..shards {
-            let tx = tx.clone();
-            let queues = &queues;
-            let stop = &stop;
-            let jobs = plan.jobs();
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let Some(sj) = queues.next(shard) else { break };
-                    let res = catch_unwind(AssertUnwindSafe(|| Box::new(run_job(&jobs[sj.job]))))
-                        .map_err(panic_message);
-                    if tx.send((sj, res)).is_err() {
-                        break;
-                    }
-                }
+    let mut io_failure: Option<CliError> = None;
+    let outcome = run_jobs(&jobs, threads, |p, result| {
+        let job = pending[p];
+        let row = plan.row(job, &result);
+        let line = row.to_json();
+        let checkpointed = journal
+            .append(&row)
+            .map_err(|e| CliError::Failed(format!("cannot checkpoint: {e}")))
+            .and_then(|()| {
+                rows.insert(job, row);
+                stream.emit("row", rows.len() as u64, Some(line))
             });
+        if let Err(e) = checkpointed {
+            io_failure = Some(e);
+            return ControlFlow::Break(());
         }
-        drop(tx);
-
-        for (sj, res) in rx {
-            match res {
-                // Once the abort hook has fired, in-flight completions
-                // are discarded, exactly as a real crash would lose
-                // them: the journal holds precisely the rows completed
-                // before the "kill", which is what the crash/restart
-                // harness relies on.
-                Ok(_) if aborted => {}
-                Ok(result) => {
-                    let row = plan.row(sj.job, &result);
-                    journal
-                        .append(&row)
-                        .map_err(|e| CliError::Failed(format!("cannot checkpoint: {e}")))?;
-                    rows.insert(sj.job, row.clone());
-                    ran += 1;
-                    if sj.stolen {
-                        stolen += 1;
-                    }
-                    stream.emit("row", rows.len() as u64, Some(row.to_json()))?;
-                    if opts.abort_after.is_some_and(|n| (ran as u64) >= n) && !aborted {
-                        aborted = true;
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                Err(message) => {
-                    let job = &plan.jobs()[sj.job];
-                    failure.get_or_insert_with(|| {
-                        format!(
-                            "job {} [{}] panicked: {message}",
-                            job.bench.name,
-                            job.config.label()
-                        )
-                    });
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
+        ran += 1;
+        // Once the abort hook fires, the executor drops in-flight
+        // completions, exactly as a real crash would lose them: the
+        // journal holds precisely the rows completed before the "kill",
+        // which is what the crash/restart harness relies on.
+        if opts.abort_after.is_some_and(|n| ran as u64 >= n) {
+            aborted = true;
+            return ControlFlow::Break(());
         }
-        Ok(())
-    })?;
-
-    if let Some(message) = failure {
+        ControlFlow::Continue(())
+    });
+    if let Some(e) = io_failure {
+        return Err(e);
+    }
+    if let Err(e) = outcome {
         return Err(CliError::Failed(format!(
-            "sweep failed: {message} (completed rows are checkpointed in {}; rerun to resume)",
+            "sweep failed: {e} (completed rows are checkpointed in {}; rerun to resume)",
             journal_path.display()
         )));
     }
 
-    let complete = rows.len() == total;
     if aborted {
         stream.emit("abort", rows.len() as u64, None)?;
         eprintln!(
@@ -310,29 +257,33 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
             rows.len()
         );
     }
-    let mut final_report = None;
-    if complete {
-        let doc = plan
-            .report_json_from_rows(&rows)
+    let mut report_path = None;
+    if rows.len() == total {
+        let report = plan
+            .report(&rows)
             .map_err(|e| CliError::Failed(format!("cannot assemble report: {e}")))?;
-        std::fs::write(&report_path, doc.to_pretty()).map_err(|e| {
-            CliError::Failed(format!("cannot write {}: {e}", report_path.display()))
+        let path = report.write_json(&opts.out_dir).map_err(|e| {
+            CliError::Failed(format!(
+                "cannot write {}.json under {}: {e}",
+                report.name,
+                opts.out_dir.display()
+            ))
         })?;
         stream.emit("report", rows.len() as u64, None)?;
-        eprintln!("[bosim serve] report written to {}", report_path.display());
-        final_report = Some(report_path);
+        eprintln!("[bosim serve] report written to {}", path.display());
+        report_path = Some(path);
     }
 
     Ok(ServeSummary {
         total,
         resumed,
         ran,
-        stolen,
+        stolen: 0,
         duplicates: load.duplicates,
         stale: load.stale,
         torn_recovered: load.torn_recovered,
         aborted,
-        report_path: final_report,
+        report_path,
         journal_path,
         stream_path,
     })

@@ -1,8 +1,8 @@
 //! `bosim serve` end-to-end through the built binary: corpus manifest
-//! in, checkpointed sharded sweep out — including a hard child-process
+//! in, checkpointed sweep out — including a hard child-process
 //! `SIGKILL` mid-sweep (a real dead process, not a cooperative stop)
 //! followed by a resume that must reproduce the uninterrupted report
-//! byte for byte. The in-process abort-hook matrix (shard counts ×
+//! byte for byte. The in-process abort-hook matrix (thread counts ×
 //! kill points) lives in `tests/tests/serve_resume.rs`.
 
 use bosim_cli::dispatch;

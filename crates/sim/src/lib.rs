@@ -52,7 +52,7 @@ pub use config::{
 pub use registry::{
     registry, PrefetcherRegistry, PrefetcherResolver, ResolveError, ResolverOutcome,
 };
-pub use runner::{default_threads, run_job, run_jobs, speedups, Job, RunnerError};
+pub use runner::{default_threads, run_job, run_jobs, Job, RunnerError};
 pub use spec::{
     prefetchers, AdaptiveSpec, AmpmSpec, BoSpec, FixedOffsetSpec, NextLineSpec, NoPrefetchSpec,
     PrefetcherHandle, PrefetcherSpec, SbpSpec, StrideSpec, LINE_ADDRESS_SITES,

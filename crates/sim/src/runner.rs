@@ -1,17 +1,21 @@
-//! Experiment runner: maps (benchmark × configuration) grids onto worker
-//! threads and computes paper-style speedup summaries.
+//! The job executor: runs (benchmark × configuration) grids on worker
+//! threads and hands each result to the caller as it completes.
 //!
-//! All entry points return [`RunnerError`] instead of panicking: a
-//! panicking simulation (e.g. a stall assertion) is caught on the worker
-//! thread and reported with the benchmark and configuration that failed.
+//! [`run_jobs`] is the only executor in the workspace: experiment runs
+//! and the `bosim serve` sweep service both drive it. It returns
+//! [`RunnerError`] instead of panicking: a panicking simulation (e.g. a
+//! stall assertion) is caught on the worker thread and reported with the
+//! benchmark and configuration that failed.
 
 use crate::config::SimConfig;
 use crate::system::{SimResult, System};
 use bosim_trace::BenchmarkSpec;
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// One cell of an experiment grid.
 #[derive(Debug, Clone)]
@@ -22,7 +26,7 @@ pub struct Job {
     pub config: SimConfig,
 }
 
-/// A failure while running a job grid or pairing its results.
+/// A failure while running a job grid.
 #[derive(Debug, Clone)]
 pub enum RunnerError {
     /// A worker panicked while simulating a job.
@@ -34,27 +38,6 @@ pub enum RunnerError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A job produced no result (internal scheduling error).
-    MissingResult {
-        /// The benchmark whose result is missing.
-        benchmark: String,
-    },
-    /// Speedup pairing was given result sets of different lengths.
-    LengthMismatch {
-        /// Subject result count.
-        subject: usize,
-        /// Baseline result count.
-        baseline: usize,
-    },
-    /// Speedup pairing found different benchmarks at the same position.
-    BenchmarkMismatch {
-        /// Position in the result sets.
-        index: usize,
-        /// Benchmark in the subject set.
-        subject: String,
-        /// Benchmark in the baseline set.
-        baseline: String,
-    },
 }
 
 impl fmt::Display for RunnerError {
@@ -65,21 +48,6 @@ impl fmt::Display for RunnerError {
                 config,
                 message,
             } => write!(f, "job {benchmark} [{config}] panicked: {message}"),
-            RunnerError::MissingResult { benchmark } => {
-                write!(f, "job {benchmark} produced no result")
-            }
-            RunnerError::LengthMismatch { subject, baseline } => write!(
-                f,
-                "cannot pair {subject} subject results with {baseline} baseline results"
-            ),
-            RunnerError::BenchmarkMismatch {
-                index,
-                subject,
-                baseline,
-            } => write!(
-                f,
-                "result sets out of order at {index}: subject {subject} vs baseline {baseline}"
-            ),
         }
     }
 }
@@ -101,53 +69,81 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs all jobs, fanning out over `threads` workers (scoped std
-/// threads), preserving input order in the output.
+/// Runs `jobs` on `threads` workers (at least one) and calls
+/// `on_done(index, result)` on the calling thread as each job
+/// completes.
+///
+/// Workers take jobs in index order from one shared counter, so an idle
+/// worker always picks up the next job and one slow job holds back no
+/// other. Completion order depends on host scheduling; callers key what
+/// they keep by the job index. Each result is moved into `on_done` and
+/// never buffered here.
+///
+/// When `on_done` returns [`ControlFlow::Break`], no further job is
+/// handed out, and completions of jobs already running are dropped
+/// without being delivered.
 ///
 /// # Errors
 ///
-/// Returns [`RunnerError::JobFailed`] naming the benchmark whose
-/// simulation panicked; remaining jobs are still drained so worker
-/// threads shut down cleanly.
-pub fn run_jobs(jobs: &[Job], threads: usize) -> Result<Vec<SimResult>, RunnerError> {
-    let threads = threads.max(1);
-    let slots: Vec<Mutex<Option<Result<SimResult, String>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+/// Returns [`RunnerError::JobFailed`] naming the first job (in
+/// completion order) whose simulation panicked. A failure stops the
+/// handing out of jobs; every completion before it, and those of jobs
+/// already running, are still delivered.
+pub fn run_jobs<J, F>(jobs: &[J], threads: usize, mut on_done: F) -> Result<(), RunnerError>
+where
+    J: Borrow<Job> + Sync,
+    F: FnMut(usize, SimResult) -> ControlFlow<()>,
+{
+    // Both atomics publish no other data (results travel through the
+    // channel), so Relaxed suffices: a stop seen late only lets a worker
+    // start another job, whose completion is dropped or delivered as
+    // documented above.
     let next = AtomicUsize::new(0);
-    // bosim-lint: allow(D004, whole-run worker pool: each job is an independent simulation and results are collected by job index, so host scheduling cannot reach any SimResult)
+    let stop = AtomicBool::new(false);
+    let mut failure = None;
+    // bosim-lint: allow(D004, whole-run worker pool: each job is an independent simulation and the caller keys results by job index, so host scheduling cannot reach any SimResult)
     std::thread::scope(|s| {
-        for _ in 0..threads.min(jobs.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..threads.clamp(1, jobs.len().max(1)) {
+            let (tx, next, stop) = (tx.clone(), &next, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let res = catch_unwind(AssertUnwindSafe(|| run_job(job.borrow())))
+                        .map_err(panic_message);
+                    if res.is_err() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    if tx.send((i, res)).is_err() {
+                        break;
+                    }
                 }
-                let res =
-                    catch_unwind(AssertUnwindSafe(|| run_job(&jobs[i]))).map_err(panic_message);
-                *slots[i].lock().expect("slot poisoned") = Some(res); // bosim-lint: allow(P002, slot mutexes are uncontended; workers cannot panic while holding one)
             });
         }
-    });
-    let mut out = Vec::with_capacity(jobs.len());
-    for (job, slot) in jobs.iter().zip(slots) {
-        // bosim-lint: allow(P002, slot mutexes are uncontended; workers cannot panic while holding one)
-        match slot.into_inner().expect("slot poisoned") {
-            Some(Ok(res)) => out.push(res),
-            Some(Err(message)) => {
-                return Err(RunnerError::JobFailed {
-                    benchmark: job.bench.name.clone(),
-                    config: job.config.label(),
-                    message,
-                })
-            }
-            None => {
-                return Err(RunnerError::MissingResult {
-                    benchmark: job.bench.name.clone(),
-                })
+        drop(tx);
+        let mut stopped = false;
+        for (i, res) in rx {
+            match res {
+                Ok(_) if stopped => {}
+                Ok(result) => {
+                    if on_done(i, result).is_break() {
+                        stopped = true;
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                }
+                Err(message) => {
+                    let job: &Job = jobs[i].borrow();
+                    failure.get_or_insert(RunnerError::JobFailed {
+                        benchmark: job.bench.name.clone(),
+                        config: job.config.label(),
+                        message,
+                    });
+                }
             }
         }
-    }
-    Ok(out)
+    });
+    failure.map_or(Ok(()), Err)
 }
 
 /// Default worker-thread count: all available cores.
@@ -155,40 +151,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2)
-}
-
-/// Pairs each subject result with its baseline by benchmark name and
-/// returns `(benchmark, speedup)` rows.
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] if the two slices do not cover the same
-/// benchmarks in the same order.
-pub fn speedups(
-    subject: &[SimResult],
-    baseline: &[SimResult],
-) -> Result<Vec<(String, f64)>, RunnerError> {
-    if subject.len() != baseline.len() {
-        return Err(RunnerError::LengthMismatch {
-            subject: subject.len(),
-            baseline: baseline.len(),
-        });
-    }
-    subject
-        .iter()
-        .zip(baseline)
-        .enumerate()
-        .map(|(index, (s, b))| {
-            if s.benchmark != b.benchmark {
-                return Err(RunnerError::BenchmarkMismatch {
-                    index,
-                    subject: s.benchmark.clone(),
-                    baseline: b.benchmark.clone(),
-                });
-            }
-            Ok((s.benchmark.clone(), s.ipc() / b.ipc()))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -204,18 +166,35 @@ mod tests {
         }
     }
 
+    fn job(id: &str, config: SimConfig) -> Job {
+        Job {
+            bench: suite::benchmark(id).expect("exists"),
+            config,
+        }
+    }
+
+    /// A grid of `n` very short jobs.
+    fn grid(n: usize) -> Vec<Job> {
+        let cfg = SimConfig {
+            warmup_instructions: 500,
+            measure_instructions: 1_000,
+            ..Default::default()
+        };
+        (0..n).map(|_| job("456", cfg.clone())).collect()
+    }
+
     #[test]
     fn parallel_runner_matches_serial() {
-        let jobs: Vec<Job> = ["456", "444"]
-            .iter()
-            .map(|id| Job {
-                bench: suite::benchmark(id).expect("exists"),
-                config: tiny_cfg(),
-            })
-            .collect();
+        let jobs = vec![job("456", tiny_cfg()), job("444", tiny_cfg())];
         let serial: Vec<SimResult> = jobs.iter().map(run_job).collect();
-        let parallel = run_jobs(&jobs, 2).expect("jobs succeed");
+        let mut parallel: Vec<Option<SimResult>> = vec![None, None];
+        run_jobs(&jobs, 2, |i, r| {
+            parallel[i] = Some(r);
+            ControlFlow::Continue(())
+        })
+        .expect("jobs succeed");
         for (a, b) in serial.iter().zip(&parallel) {
+            let b = b.as_ref().expect("every job delivered");
             assert_eq!(a.benchmark, b.benchmark);
             assert_eq!(a.cycles, b.cycles, "determinism violated");
             assert_eq!(a.instructions, b.instructions);
@@ -223,55 +202,78 @@ mod tests {
     }
 
     #[test]
-    fn speedups_pair_by_name() {
-        let jobs: Vec<Job> = vec![Job {
-            bench: suite::benchmark("456").expect("exists"),
-            config: tiny_cfg(),
-        }];
-        let r = run_jobs(&jobs, 1).expect("job succeeds");
-        let sp = speedups(&r, &r).expect("same set pairs");
-        assert_eq!(sp.len(), 1);
-        assert!((sp[0].1 - 1.0).abs() < 1e-12);
+    fn every_job_reaches_the_callback_exactly_once() {
+        // Zero threads clamps to one; more threads than jobs is fine.
+        let jobs = grid(11);
+        for threads in [0, 1, 2, 5, 16] {
+            let mut seen = vec![0u32; jobs.len()];
+            run_jobs(&jobs, threads, |i, _| {
+                seen[i] += 1;
+                ControlFlow::Continue(())
+            })
+            .expect("jobs succeed");
+            assert!(seen.iter().all(|&n| n == 1), "threads {threads}: {seen:?}");
+        }
+        let none: &[Job] = &[];
+        run_jobs(none, 3, |_, _| -> ControlFlow<()> {
+            panic!("no job to deliver")
+        })
+        .expect("an empty grid runs nothing");
+    }
+
+    #[test]
+    fn no_completion_is_delivered_after_the_callback_stops() {
+        let jobs = grid(12);
+        for threads in [1, 2, 5] {
+            let mut delivered = Vec::new();
+            run_jobs(&jobs, threads, |i, _| {
+                delivered.push(i);
+                if delivered.len() == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .expect("a stop is not an error");
+            assert_eq!(delivered.len(), 3, "threads {threads}: {delivered:?}");
+        }
     }
 
     #[test]
     fn worker_panic_names_the_failing_benchmark() {
         // active_cores = 0 trips the System::new assertion; the runner
-        // must surface it as an error naming the job, not a panic.
+        // must surface it as an error naming the job, not a panic. On
+        // one thread the jobs run in order: both completions before the
+        // failure are delivered, and nothing after it runs.
         let mut bad = tiny_cfg();
         bad.active_cores = 0;
         let jobs = vec![
-            Job {
-                bench: suite::benchmark("456").expect("exists"),
-                config: tiny_cfg(),
-            },
-            Job {
-                bench: suite::benchmark("444").expect("exists"),
-                config: bad,
-            },
+            job("456", tiny_cfg()),
+            job("462", tiny_cfg()),
+            job("444", bad),
+            job("470", tiny_cfg()),
         ];
-        let err = run_jobs(&jobs, 2).expect_err("bad job must fail");
-        match err {
-            RunnerError::JobFailed {
+        for threads in [1, 2] {
+            let mut delivered = Vec::new();
+            let err = run_jobs(&jobs, threads, |i, _| {
+                delivered.push(i);
+                ControlFlow::Continue(())
+            })
+            .expect_err("bad job must fail");
+            let RunnerError::JobFailed {
                 benchmark, message, ..
-            } => {
-                assert_eq!(benchmark, "444.namd-like");
-                assert!(message.contains("active_cores"), "{message}");
+            } = err;
+            assert_eq!(benchmark, "444.namd-like");
+            assert!(message.contains("active_cores"), "{message}");
+            delivered.sort_unstable();
+            assert!(
+                delivered.starts_with(&[0, 1]),
+                "threads {threads}: {delivered:?}"
+            );
+            assert!(!delivered.contains(&2));
+            if threads == 1 {
+                assert_eq!(delivered, [0, 1]);
             }
-            other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn speedup_pairing_errors_are_typed() {
-        let jobs = vec![Job {
-            bench: suite::benchmark("456").expect("exists"),
-            config: tiny_cfg(),
-        }];
-        let r = run_jobs(&jobs, 1).expect("job succeeds");
-        assert!(matches!(
-            speedups(&r, &[]),
-            Err(RunnerError::LengthMismatch { .. })
-        ));
     }
 }

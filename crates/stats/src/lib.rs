@@ -30,6 +30,6 @@ mod table;
 
 pub use histogram::Histogram;
 pub use json::Json;
-pub use parse::JsonParseError;
+pub use parse::{DecodeError, JsonParseError};
 pub use summary::{geometric_mean, harmonic_mean, mean, speedup, RateStat};
 pub use table::{fmt3, Align, Table};

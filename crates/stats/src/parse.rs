@@ -2,9 +2,10 @@
 //! emitter.
 //!
 //! The workspace builds hermetically with no external crates, so the
-//! trace-file checker (`bosim check-trace`) and the observability
-//! tests parse with this small recursive-descent parser instead of
-//! `serde_json`. It accepts exactly the RFC grammar (no comments, no
+//! trace-file checker (`bosim check-trace`), the `bosim serve` journal
+//! and the observability tests parse with this small recursive-descent
+//! parser instead of `serde_json`; the typed field accessors
+//! ([`Json::field`] and its siblings) decode parsed trees into structs. It accepts exactly the RFC grammar (no comments, no
 //! trailing commas), bounds recursion depth, and never panics: every
 //! failure is a [`JsonParseError`] with a byte offset.
 
@@ -365,7 +366,112 @@ impl Json {
     pub fn is_number(&self) -> bool {
         matches!(self, Json::Int(_) | Json::UInt(_) | Json::Num(_))
     }
+
+    /// Object field `key`, or a [`DecodeError`] when this is not an
+    /// object or lacks the field.
+    pub fn field(&self, key: &str) -> Result<&Json, DecodeError> {
+        match self {
+            Json::Obj(_) => self
+                .get(key)
+                .ok_or_else(|| DecodeError::at(key, "is missing")),
+            _ => Err(DecodeError::at("", "is not an object")),
+        }
+    }
+
+    fn typed_field<'a, T>(
+        &'a self,
+        key: &str,
+        what: &'static str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, DecodeError> {
+        read(self.field(key)?).ok_or_else(|| DecodeError::at(key, what))
+    }
+
+    /// Field `key` as a non-negative integer.
+    pub fn u64_field(&self, key: &str) -> Result<u64, DecodeError> {
+        self.typed_field(key, "is not a non-negative integer", |v| match *v {
+            Json::UInt(u) => Some(u),
+            Json::Int(i) => u64::try_from(i).ok(),
+            _ => None,
+        })
+    }
+
+    /// Field `key` as a number. `null` reads as NaN: the emitter writes
+    /// every non-finite `f64` as `null`, so this is its inverse up to
+    /// the rendered bytes.
+    pub fn f64_field(&self, key: &str) -> Result<f64, DecodeError> {
+        self.typed_field(key, "is not a number or null", |v| match v {
+            Json::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        })
+    }
+
+    /// Field `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, DecodeError> {
+        self.typed_field(key, "is not a string", Json::as_str)
+    }
+
+    /// Field `key` as a boolean.
+    pub fn bool_field(&self, key: &str) -> Result<bool, DecodeError> {
+        self.typed_field(key, "is not a boolean", |v| match *v {
+            Json::Bool(b) => Some(b),
+            _ => None,
+        })
+    }
+
+    /// Field `key` as an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], DecodeError> {
+        self.typed_field(key, "is not an array", Json::as_arr)
+    }
 }
+
+/// A well-formed JSON document of the wrong shape: a field is missing
+/// or holds the wrong type. Typed decoders built on [`Json::field`] and
+/// its siblings return it, and wrap a nested decoder's error with
+/// [`within`](Self::within), so the path names the value from the
+/// decoded root (e.g. `adapt.epochs[2].l3.issued`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// Path from the decoded root to the offending value; empty for the
+    /// root itself.
+    pub path: String,
+    /// What is wrong with it (e.g. `is missing`, `is not a string`).
+    pub what: &'static str,
+}
+
+impl DecodeError {
+    fn at(path: &str, what: &'static str) -> DecodeError {
+        DecodeError {
+            path: path.to_string(),
+            what,
+        }
+    }
+
+    /// Prefixes the path with `outer`: the field name, or the `[index]`
+    /// of the array element, that held the failing value.
+    pub fn within(mut self, outer: &str) -> DecodeError {
+        self.path = if self.path.is_empty() {
+            outer.to_string()
+        } else if self.path.starts_with('[') {
+            format!("{outer}{}", self.path)
+        } else {
+            format!("{outer}.{}", self.path)
+        };
+        self
+    }
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            write!(f, "value {}", self.what)
+        } else {
+            write!(f, "field {} {}", self.path, self.what)
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -454,6 +560,29 @@ mod tests {
         assert_eq!(events[0].get("ts").and_then(Json::as_f64), Some(5.0));
         assert!(events[0].get("ts").unwrap().is_number());
         assert!(doc.get("missing").is_none());
+    }
+
+    #[test]
+    fn typed_fields_name_what_is_wrong() {
+        let doc = Json::parse(r#"{"n":3,"x":null,"s":"a","b":true,"a":[{"k":-1}]}"#).unwrap();
+        assert_eq!(doc.u64_field("n"), Ok(3));
+        assert!(doc.f64_field("x").unwrap().is_nan(), "null reads as NaN");
+        assert_eq!(doc.str_field("s"), Ok("a"));
+        assert_eq!(doc.bool_field("b"), Ok(true));
+        let inner = &doc.arr_field("a").unwrap()[0];
+        let err = inner.u64_field("k").unwrap_err().within("[0]").within("a");
+        assert_eq!(
+            err.to_string(),
+            "field a[0].k is not a non-negative integer"
+        );
+        assert_eq!(
+            doc.str_field("gone").unwrap_err().to_string(),
+            "field gone is missing"
+        );
+        assert_eq!(
+            Json::UInt(5).field("n").unwrap_err().to_string(),
+            "value is not an object"
+        );
     }
 
     #[test]

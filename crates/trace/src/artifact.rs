@@ -2,7 +2,7 @@
 //!
 //! Decoding an external trace is the expensive part of pointing a sweep
 //! at a corpus: a (benchmark × arm) grid replays each file in many
-//! cells, and `bosim serve` runs many worker shards in one process. The
+//! cells, and `bosim serve` runs many worker threads in one process. The
 //! [`ArtifactStore`] makes each decode happen **once per host process**:
 //!
 //! * entries are keyed by `(path, format, len, mtime)` — rewriting a
@@ -180,7 +180,7 @@ impl ArtifactStore {
             mtime: meta.modified().ok(),
         };
 
-        // The lock is held across the decode on purpose: a second shard
+        // The lock is held across the decode on purpose: a second worker
         // asking for the same trace blocks here and then hits, rather
         // than racing into a duplicate decode.
         let mut inner = self.lock();
@@ -339,7 +339,7 @@ mod tests {
             let jb = s.spawn(|| store.load(&spec).unwrap());
             (ja.join().unwrap(), jb.join().unwrap())
         });
-        assert!(Arc::ptr_eq(&a, &b), "both shards must share one decode");
+        assert!(Arc::ptr_eq(&a, &b), "both loaders must share one decode");
         let c = store.counters();
         assert_eq!(c.decodes, 1, "probe counter: exactly one decode");
         assert_eq!(c.hits, 1);

@@ -249,7 +249,7 @@ impl ExternalSpec {
     /// Decoded traces go through the process-global
     /// [`ArtifactStore`], keyed by (path, format,
     /// file length, mtime): an experiment grid — or many `bosim serve`
-    /// worker shards — replaying the same file in many cells decodes it
+    /// worker threads — replaying the same file in many cells decodes it
     /// once and shares one allocation. Rewriting the file on disk
     /// invalidates the entry, and entries evicted by the store's size
     /// bound spill to a cache directory instead of re-decoding. See the

@@ -1,11 +1,13 @@
 //! Crash/restart suite for `bosim serve`: kill a sweep after N
 //! completed jobs (via the injected abort hook), resume it, and prove
 //! the final report is **byte-identical** to an uninterrupted run's —
-//! with zero finished jobs re-executed — across shard counts and kill
-//! points. The child-process `SIGKILL` variant (a real dead process,
-//! not a cooperative stop) lives in `crates/cli/tests/serve_e2e.rs`
-//! where the built binary is available.
+//! with zero finished jobs re-executed — across worker-thread counts
+//! (`--shards`) and kill points — and to `Experiment::run`'s report of
+//! the same grid. The child-process `SIGKILL` variant (a real dead
+//! process, not a cooperative stop) lives in
+//! `crates/cli/tests/serve_e2e.rs` where the built binary is available.
 
+use bosim::adapt::{policies, AdaptConfig};
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::Experiment;
 use bosim_cli::{serve, ServeOptions};
@@ -38,9 +40,9 @@ fn experiment(name: &str) -> Experiment {
         .arm_vs("base/self", next, base)
 }
 
-fn opts(dir: &Path, shards: usize, abort_after: Option<u64>) -> ServeOptions {
+fn opts(dir: &Path, threads: usize, abort_after: Option<u64>) -> ServeOptions {
     let mut o = ServeOptions::new(dir);
-    o.shards = shards;
+    o.shards = threads;
     o.abort_after = abort_after;
     o
 }
@@ -71,14 +73,14 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
     assert!(!summary.aborted);
     let reference = report_bytes(&ref_dir, "resume_grid");
 
-    // Acceptance: >= 2 shard-count configurations, kill mid-grid,
-    // resume, byte-identical report, zero finished jobs re-executed.
-    for shards in [1usize, 3] {
+    // Acceptance: >= 2 thread counts, kill mid-grid, resume,
+    // byte-identical report, zero finished jobs re-executed.
+    for threads in [1usize, 3] {
         for kill_after in [1u64, (total as u64) / 2] {
-            let dir = scratch(&format!("kill_{shards}_{kill_after}"));
+            let dir = scratch(&format!("kill_{threads}_{kill_after}"));
             let first = serve(
                 experiment("resume_grid"),
-                &opts(&dir, shards, Some(kill_after)),
+                &opts(&dir, threads, Some(kill_after)),
             )
             .expect("aborted run still checkpoints cleanly");
             assert!(first.aborted, "abort hook must fire");
@@ -95,7 +97,7 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
             assert_eq!(checkpointed, first.ran);
 
             // Resume: exactly the missing jobs run, none repeat.
-            let second = serve(experiment("resume_grid"), &opts(&dir, shards, None))
+            let second = serve(experiment("resume_grid"), &opts(&dir, threads, None))
                 .expect("resume completes");
             assert_eq!(
                 second.resumed, first.ran,
@@ -111,12 +113,53 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
             assert_eq!(
                 report_bytes(&dir, "resume_grid"),
                 reference,
-                "shards={shards} kill_after={kill_after}: resumed report drifted"
+                "threads={threads} kill_after={kill_after}: resumed report drifted"
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+#[test]
+fn sweep_and_serve_write_byte_identical_reports() {
+    // `Experiment::run` (what `bosim sweep` calls) keeps its rows in
+    // memory; `serve` journals them and, on resume, decodes them from
+    // text. Both must assemble the same bytes. The adaptive arm makes
+    // the rows carry epoch telemetry through the journal decoder.
+    let base = tiny(SimConfig::default());
+    let mut adaptive = base.clone().with_prefetcher(prefetchers::bo_default());
+    adaptive.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(1_500));
+    let grid = experiment("sweep_vs_serve").arm_vs("adaptive", adaptive, base);
+    let swept = grid
+        .clone()
+        .threads(2)
+        .run()
+        .expect("sweep runs")
+        .to_json()
+        .to_pretty();
+    assert!(
+        swept.contains("\"epochs\": ["),
+        "adaptive arm carries telemetry"
+    );
+
+    // Stop one job short, so all but one row (adaptive ones included)
+    // reach the report through journal text.
+    let dir = scratch("sweep_vs_serve");
+    let total = grid.plan().expect("grid plans").jobs().len();
+    let first = serve(grid.clone(), &opts(&dir, 2, Some(total as u64 - 1))).expect("abort");
+    let second = serve(grid, &opts(&dir, 2, None)).expect("resume");
+    assert_eq!(
+        second.resumed, first.ran,
+        "resumed rows come from the journal"
+    );
+    assert_eq!(second.ran, 1);
+    assert_eq!(
+        String::from_utf8(report_bytes(&dir, "sweep_vs_serve")).expect("utf-8"),
+        swept,
+        "serve and sweep reports differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
