@@ -198,6 +198,21 @@ fn golden_stats_four_cores() {
     assert_invariant(cfg, "429");
 }
 
+/// Four cores feeding one occupied L3 site: the shared queue holds
+/// candidates triggered by every core, and each issue is charged to
+/// its own core's DRAM fairness slot.
+#[test]
+fn golden_stats_four_cores_l3_site() {
+    let cfg = SimConfig {
+        active_cores: 4,
+        warmup_instructions: 5_000,
+        measure_instructions: 15_000,
+        l3_prefetcher: Some(prefetchers::next_line()),
+        ..Default::default()
+    };
+    assert_invariant(cfg, "429");
+}
+
 /// Four cores on the store-heavy 470: every thrasher shares the L3 and
 /// DRAM with core 0, so fill wake-ups and uncore re-posts from several
 /// cores interleave within one cycle.

@@ -6,8 +6,10 @@
 //! core dispatches, predicts or wakes µops moves both sides alike and
 //! passes unnoticed there. This test pins the result itself. The arms
 //! cover the mispredict-heavy suite benchmarks (TAGE allocation and the
-//! redirect stall), pointer chasing, stores, the multi-core loop and the
-//! L1D stride site on its own.
+//! redirect stall), pointer chasing, stores, the multi-core loop, the
+//! L1D stride site on its own and the shared L3 site fed by two cores
+//! (its queue entries carry the triggering core, which only matters
+//! with more than one).
 //!
 //! A fingerprint is the FNV-1a hash of the `SimResult`'s `Debug` text,
 //! so it changes with any counter. If a change is meant to alter
@@ -45,6 +47,11 @@ fn arms() -> Vec<(&'static str, SimConfig, &'static str, &'static str)> {
         measure_instructions: 15_000,
         ..one_core(0xB05EED)
     };
+    let two_core_l3 = SimConfig {
+        active_cores: 2,
+        l3_prefetcher: Some(prefetchers::next_line()),
+        ..one_core(0xB05EED)
+    };
     let stride_only = SimConfig {
         l1_prefetcher: Some(prefetchers::stride_default()),
         l2_prefetcher: prefetchers::none(),
@@ -58,6 +65,12 @@ fn arms() -> Vec<(&'static str, SimConfig, &'static str, &'static str)> {
         ("470 l2:bo", one_core(0xB05EED), "470", "407a8b955a67d93d"),
         ("433 4-core", four_core, "433", "cf51646a557d7c93"),
         ("462 l1:stride", stride_only, "462", "dfc3febc47ea3777"),
+        (
+            "433 2-core l3:next-line",
+            two_core_l3,
+            "433",
+            "607104315abf2c37",
+        ),
     ]
 }
 
@@ -70,6 +83,13 @@ fn results_match_pinned_fingerprints() {
         match bench_id {
             "445" | "458" => assert!(result.core.mispredicts > 500, "{arm}: {:?}", result.core),
             "462" => assert!(result.core.l1_prefetches > 100, "{arm}: {:?}", result.core),
+            _ if cfg.l3_prefetcher.is_some() => {
+                let u = &result.uncore;
+                assert!(
+                    u.l3_prefetches_issued > 0 && u.l3_prefetches_cancelled > 0,
+                    "{arm}: {u:?}"
+                )
+            }
             _ => {}
         }
         let got = fingerprint(&result);
