@@ -28,7 +28,8 @@ pub struct ThroughputMeasurement {
     pub sim_cycles: u64,
     /// Cycles actually stepped (the rest were fast-forwarded).
     pub steps: u64,
-    /// Total µops retired by core 0 (warm-up + measured window).
+    /// Total µops retired, summed over all active cores (warm-up +
+    /// measured window).
     pub uops: u64,
     /// Wall-clock seconds for the whole run.
     pub wall_seconds: f64,
@@ -42,7 +43,7 @@ impl ThroughputMeasurement {
         self.sim_cycles as f64 / self.wall_seconds / 1e6
     }
 
-    /// Retired µops (core 0) per wall-clock second, in millions.
+    /// Retired µops (all cores) per wall-clock second, in millions.
     pub fn muops_per_sec(&self) -> f64 {
         self.uops as f64 / self.wall_seconds / 1e6
     }
@@ -58,7 +59,7 @@ pub fn measure(cfg: &SimConfig, bench: &BenchmarkSpec) -> ThroughputMeasurement 
         benchmark: bench.name.clone(),
         sim_cycles: sys.cycle(),
         steps: sys.steps_executed(),
-        uops: sys.core0_stats().retired,
+        uops: sys.total_retired(),
         wall_seconds: wall,
         result,
     }
@@ -156,8 +157,8 @@ pub struct ArmThroughput {
 }
 
 /// The machine configurations the `perf` binary times: the Table 1
-/// default, a four-core machine (parallel-tick territory, much less
-/// idle time to skip) and an `l2:bo` machine (the paper's subject
+/// default, a four-core machine (shared L3 and DRAM contention, much
+/// less idle time to skip) and an `l2:bo` machine (the paper's subject
 /// prefetcher, busier uncore queues).
 pub fn perf_arms(base: &SimConfig) -> Vec<(String, SimConfig)> {
     let four_core = SimConfig {
@@ -353,5 +354,22 @@ mod tests {
         assert_eq!(labels, ["default", "4-core", "l2:bo"]);
         assert_eq!(arms[1].1.active_cores, 4);
         assert!(arms[2].1.label().ends_with("/BO"), "{}", arms[2].1.label());
+    }
+
+    /// µops/s counts every core's retirement, not core 0's alone.
+    #[test]
+    fn uops_sum_over_all_cores() {
+        let cfg = SimConfig {
+            active_cores: 4,
+            warmup_instructions: 1_000,
+            measure_instructions: 5_000,
+            ..Default::default()
+        };
+        let bench = suite::benchmark("462").expect("exists");
+        let m = measure(&cfg, &bench);
+        let mut sys = System::new(&cfg, &bench);
+        sys.run();
+        let core0 = sys.core0_stats().retired;
+        assert!(m.uops > core0, "all cores {} vs core 0 {core0}", m.uops);
     }
 }

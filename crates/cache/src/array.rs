@@ -249,11 +249,6 @@ impl CacheArray {
     pub fn occupancy(&self) -> usize {
         self.meta.iter().filter(|m| m.valid).count()
     }
-
-    /// The replacement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //!   sampling (§5.2),
 //! * [`FillQueue`] — MSHR-less miss handling with associative search and
 //!   late-prefetch promotion (§5.4),
-//! * [`PrefetchQueue`] — the 8-entry lowest-priority L2 prefetch queue
-//!   with oldest-drop (§5.4),
+//! * [`PrefetchQueue`] — the 8-entry lowest-priority prefetch queue of
+//!   each L2 and L3 prefetch site, with oldest-drop (§5.4),
 //! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1),
 //! * [`LineIndex`] — the small open-addressed line→slot index backing
 //!   the queues' O(1) CAM searches (both queues also offer a

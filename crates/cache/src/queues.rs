@@ -1,14 +1,16 @@
-//! The L2 prefetch queue and the DL1 MSHR file.
+//! The prefetch-site queue and the DL1 MSHR file.
 
 use crate::line_index::LineIndex;
-use bosim_types::{Cycle, LineAddr};
+use bosim_types::{CoreId, Cycle, LineAddr};
 use std::collections::VecDeque;
 
-/// The L2 prefetch queue (§5.4): "L2 prefetch requests have the lowest
-/// priority for accessing the L3 cache. Prefetch requests wait in an
-/// 8-entry prefetch queue until they can access the L3 cache. When a
-/// prefetch request is inserted into the queue, and if the queue is full,
-/// the oldest request is cancelled."
+/// The prefetch queue of one prefetch site (§5.4): "L2 prefetch requests
+/// have the lowest priority for accessing the L3 cache. Prefetch
+/// requests wait in an 8-entry prefetch queue until they can access the
+/// L3 cache. When a prefetch request is inserted into the queue, and if
+/// the queue is full, the oldest request is cancelled." The shared L3
+/// site queues its candidates the same way, so each request carries the
+/// core whose access triggered it.
 ///
 /// The CAM search runs once per prefetch candidate (a hot-path
 /// redundancy check), so membership is tracked in a [`LineIndex`]
@@ -17,7 +19,7 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct PrefetchQueue {
     cap: usize,
-    entries: VecDeque<LineAddr>,
+    entries: VecDeque<(LineAddr, CoreId)>,
     index: LineIndex,
     /// Linear-scan mode (the throughput harness's naive baseline).
     linear: bool,
@@ -66,39 +68,40 @@ impl PrefetchQueue {
         self.entries.is_empty()
     }
 
-    /// Pushes a prefetch request; if the queue is full the *oldest*
-    /// request is cancelled. Duplicate requests are dropped (the queue is
-    /// "associatively searched" before insertion, §6.3 fn. 13).
-    pub fn push(&mut self, line: LineAddr) {
+    /// Pushes a prefetch request triggered by `core`; if the queue is
+    /// full the *oldest* request is cancelled. Duplicate requests are
+    /// dropped (the queue is "associatively searched" before insertion,
+    /// §6.3 fn. 13).
+    pub fn push(&mut self, line: LineAddr, core: CoreId) {
         if self.contains(line) {
             return;
         }
         if self.entries.len() >= self.cap {
-            let oldest = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
+            let (oldest, _) = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
             if !self.linear {
                 self.index.remove(oldest);
             }
             self.cancelled += 1;
         }
-        self.entries.push_back(line);
+        self.entries.push_back((line, core));
         if !self.linear {
             self.index.insert(line, 0);
         }
     }
 
-    /// Pops the oldest pending prefetch request.
-    pub fn pop(&mut self) -> Option<LineAddr> {
-        let line = self.entries.pop_front()?;
+    /// Pops the oldest pending prefetch request and its triggering core.
+    pub fn pop(&mut self) -> Option<(LineAddr, CoreId)> {
+        let (line, core) = self.entries.pop_front()?;
         if !self.linear {
             self.index.remove(line);
         }
-        Some(line)
+        Some((line, core))
     }
 
     /// CAM search.
     pub fn contains(&self, line: LineAddr) -> bool {
         if self.linear {
-            self.entries.contains(&line)
+            self.entries.iter().any(|&(l, _)| l == line)
         } else {
             self.index.contains(line)
         }
@@ -107,7 +110,7 @@ impl PrefetchQueue {
     /// Removes a matching request (e.g. the line just got demanded).
     pub fn remove(&mut self, line: LineAddr) -> bool {
         if self.linear {
-            match self.entries.iter().position(|&l| l == line) {
+            match self.entries.iter().position(|&(l, _)| l == line) {
                 Some(pos) => {
                     self.entries.remove(pos);
                     true
@@ -121,7 +124,7 @@ impl PrefetchQueue {
             let pos = self
                 .entries
                 .iter()
-                .position(|&l| l == line)
+                .position(|&(l, _)| l == line)
                 .expect("indexed line is queued"); // bosim-lint: allow(P002, the index maps only queued lines)
             self.entries.remove(pos);
             true
@@ -227,26 +230,30 @@ mod tests {
     fn prefetch_queue_drops_oldest_on_overflow() {
         let mut q = PrefetchQueue::new(3);
         for i in 0..3 {
-            q.push(LineAddr(i));
+            q.push(LineAddr(i), CoreId(0));
         }
-        q.push(LineAddr(99));
+        q.push(LineAddr(99), CoreId(1));
         assert_eq!(q.cancelled, 1);
-        assert_eq!(q.pop(), Some(LineAddr(1)), "oldest (0) was cancelled");
+        assert_eq!(
+            q.pop(),
+            Some((LineAddr(1), CoreId(0))),
+            "oldest (0) was cancelled"
+        );
         assert!(q.contains(LineAddr(99)));
     }
 
     #[test]
     fn prefetch_queue_dedups() {
         let mut q = PrefetchQueue::new(4);
-        q.push(LineAddr(5));
-        q.push(LineAddr(5));
+        q.push(LineAddr(5), CoreId(0));
+        q.push(LineAddr(5), CoreId(1));
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn prefetch_queue_remove() {
         let mut q = PrefetchQueue::new(4);
-        q.push(LineAddr(5));
+        q.push(LineAddr(5), CoreId(0));
         assert!(q.remove(LineAddr(5)));
         assert!(!q.remove(LineAddr(5)));
         assert!(q.is_empty());

@@ -455,12 +455,6 @@ impl Core {
         }
     }
 
-    /// Resets the retired-instruction and event counters (used at the end
-    /// of warm-up; microarchitectural state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CoreStats::default();
-    }
-
     /// µops in the ROB.
     #[inline]
     fn rob_len(&self) -> usize {
@@ -1000,29 +994,6 @@ impl Core {
             }
         }
         t
-    }
-
-    /// One-line state dump for stall diagnostics.
-    pub fn debug_state(&self) -> String {
-        let head = self.rob_head();
-        let mut pending: Vec<(Cycle, u64)> = self.events.iter().map(|r| r.0).collect();
-        pending.sort_unstable();
-        let ev: Vec<String> = pending
-            .iter()
-            .map(|(t, seq)| format!("t={t} seq={seq}"))
-            .collect();
-        format!(
-            "rob={}/{} head_seq={} head={:?} mshr={} sb={} fetch_stall={} ifetch={:?} events=[{}]",
-            self.rob_len(),
-            self.cfg.rob_size,
-            self.head_seq,
-            head.map(|e| (e.kind, e.done_at, e.unresolved, e.ready_hint, e.vaddr)),
-            self.mshr.len(),
-            self.store_buffer.len(),
-            self.fetch_stalled_until,
-            self.ifetch_pending,
-            ev.join("; "),
-        )
     }
 
     /// Advances the core by one cycle, pushing uncore requests into `out`.

@@ -316,14 +316,14 @@ impl System {
         &self.uncore
     }
 
-    /// One-line core state dump (diagnostics).
-    pub fn debug_core_state(&self, core: usize) -> String {
-        self.cores[core].debug_state()
-    }
-
     /// Core-0 statistics so far.
     pub fn core0_stats(&self) -> CoreStats {
         self.cores[0].stats()
+    }
+
+    /// Instructions retired so far, summed over every active core.
+    pub fn total_retired(&self) -> u64 {
+        self.cores.iter().map(|c| c.retired()).sum()
     }
 
     /// Moves the uncore's wheel post earlier, to `at`, when it is
@@ -448,11 +448,6 @@ impl System {
         }
     }
 
-    /// Adaptive-control telemetry so far (`None` for static runs).
-    pub fn adapt_telemetry(&self) -> Option<&AdaptTelemetry> {
-        self.adapt.as_ref().map(|a| &a.telemetry)
-    }
-
     /// Processes every epoch boundary at or before the current cycle:
     /// snapshot counters, hand each core's [`EpochFeedback`] to its
     /// policy, apply the directives, log core 0's record.
@@ -524,8 +519,10 @@ impl System {
                 // Only core 0's record is logged; capture the name of
                 // the prefetcher that *produced* the epoch before any
                 // directive can switch it.
-                let prefetcher =
-                    (c == 0).then(|| self.uncore.l2_prefetcher(core).name().to_string());
+                let prefetcher = (c == 0)
+                    .then(|| self.uncore.prefetcher(PrefetchSite::L2, core))
+                    .flatten()
+                    .map(|p| p.name().to_string());
                 let mut directives = Vec::new();
                 ad.policies[c].on_epoch(&feedback, &mut directives);
                 let mut records = Vec::with_capacity(directives.len());
@@ -538,10 +535,8 @@ impl System {
                     // leave conflicting policies last-core-wins.
                     let applied = match d.site {
                         PrefetchSite::L1D => self.cores[c].reconfigure_l1_prefetcher(&d.directive),
-                        PrefetchSite::L2 => self.uncore.reconfigure_prefetcher(core, &d.directive),
-                        PrefetchSite::L3 => {
-                            c == 0 && self.uncore.reconfigure_l3_prefetcher(&d.directive)
-                        }
+                        PrefetchSite::L3 if c != 0 => false,
+                        site => self.uncore.reconfigure(site, core, &d.directive),
                     };
                     if applied {
                         ad.telemetry.applied += 1;
@@ -751,7 +746,7 @@ impl System {
     /// cap (a genuine deadlock).
     pub fn drain_uncore(&mut self) -> UncoreStats {
         let cap = self.cycle + 10_000_000;
-        while self.uncore.next_event_cycle(self.cycle) != Cycle::MAX {
+        while self.uncore.next_ready_after(self.cycle) != Cycle::MAX {
             assert!(self.cycle < cap, "uncore failed to drain (deadlock?)");
             self.fill_buf.clear();
             self.uncore

@@ -1,38 +1,38 @@
 //! The uncore: private L2s, shared L3 and DRAM, glued per §5.4.
 //!
 //! No L2/L3 MSHRs — miss handling uses associatively-searched fill queues
-//! with late-prefetch promotion. L2 prefetch requests sit in an 8-entry
-//! lowest-priority prefetch queue and can be cancelled at any time; the
-//! mandatory tag check before inserting a prefetched block is enforced.
-//! On an L3 miss the L2 fill-queue entry is released and re-reserved when
-//! the block is forwarded from the L3 insertion stage, exactly as §5.4
-//! describes.
+//! with late-prefetch promotion. On an L3 miss the L2 fill-queue entry is
+//! released and re-reserved when the block is forwarded from the L3
+//! insertion stage, exactly as §5.4 describes.
 //!
-//! The shared L3 is a prefetch *site* of its own: when
-//! [`SimConfig::l3_prefetcher`] is set, one line-address prefetcher
-//! observes every (non-ifetch) read arriving at the L3 and queues
-//! candidates into a dedicated lowest-priority queue. L3 prefetches obey
-//! the same §5.4 discipline as L2 ones — issued only on cycles when no
-//! request reached the L3, tag-checked against the L3 array and fill
-//! queue before issue *and* before fill, cancelled (never retried) under
-//! resource pressure — and fill the L3 only: they carry no forward, so a
-//! later demand either hits the L3 or merges with the in-flight fill.
-//! With the site empty (the default) every new code path is inert and
-//! the machine is cycle-identical to the pre-site uncore.
+//! Each core's L2 and the shared L3 hold one prefetch [`Site`] each: an
+//! engine observing the level's (non-ifetch) reads, an 8-entry
+//! lowest-priority prefetch queue that cancels its oldest request on
+//! overflow, and the site's usefulness telemetry. Candidates are
+//! tag-checked against the level's array, fill queue and prefetch queue
+//! before they are queued, and again before issue. The levels differ
+//! only in where a prefetch goes: an L2 prefetch is sent to the L3 on a
+//! cycle when its core sent no demand; an L3 prefetch is sent to DRAM on
+//! a cycle when no request reached the L3, fills the L3 only (it carries
+//! no forward, so a later demand either hits the L3 or merges with the
+//! in-flight fill), and is cancelled, never retried, under resource
+//! pressure. With the L3 site empty (the default) its queue stays empty
+//! and the machine is the paper's.
 
 use crate::config::{ExecMode, SimConfig};
+use crate::spec::PrefetcherHandle;
 use best_offset::{
     AccessOutcome, CacheAccess, PrefetchEvent, PrefetchSite, Prefetcher, TuneDirective,
 };
 use bosim_cache::policy::InsertCtx;
 use bosim_cache::policy::PolicyKind;
-use bosim_cache::{CacheArray, FillQueue, PrefetchQueue};
+use bosim_cache::{CacheArray, Evicted, FillQueue, PrefetchQueue};
 use bosim_dram::{MemConfig, MemorySystem, ReadCompletion};
 use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, Recorder};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
 use std::collections::VecDeque;
 
-/// Per-L2 fill-queue payload.
+/// Per-L2 fill-queue payload: where the block goes once it is in the L2.
 #[derive(Debug, Clone, Copy)]
 struct L2Meta {
     /// Forward the block to the core's IL1 fill path.
@@ -41,13 +41,28 @@ struct L2Meta {
     to_dl1: bool,
 }
 
+impl L2Meta {
+    /// Where a request of `class` wants its block: an L2 prefetch stops
+    /// at the L2.
+    fn of(class: ReqClass, ifetch: bool) -> Self {
+        L2Meta {
+            to_il1: ifetch,
+            to_dl1: !ifetch && class != ReqClass::L2Prefetch,
+        }
+    }
+
+    fn merge(&mut self, other: L2Meta) {
+        self.to_il1 |= other.to_il1;
+        self.to_dl1 |= other.to_dl1;
+    }
+}
+
 /// One forward target recorded in an L3 fill-queue payload.
 #[derive(Debug, Clone, Copy)]
 struct Fwd {
     core: CoreId,
     class: ReqClass,
-    to_il1: bool,
-    to_dl1: bool,
+    to: L2Meta,
 }
 
 /// L3 fill-queue payload: the cores waiting for the block.
@@ -159,21 +174,103 @@ pub struct PrefetchTelemetry {
     pub late_promotions: u64,
 }
 
+/// One prefetch site: the engine, its lowest-priority queue, the
+/// candidate scratch buffer and the site's telemetry. Each core's L2
+/// holds one; the shared L3 holds one.
+#[derive(Debug)]
+struct Site {
+    /// The engine (`None` = empty site: the paper's machine has no L3
+    /// prefetcher).
+    prefetcher: Option<Box<dyn Prefetcher>>,
+    /// Queued candidates with the core whose access triggered them.
+    pq: PrefetchQueue,
+    cand_buf: Vec<LineAddr>,
+    telemetry: PrefetchTelemetry,
+}
+
+/// What one access's candidates did at a site's queue.
+#[derive(Debug, Default)]
+struct Queued {
+    queued: u64,
+    cancelled: u64,
+    redundant: u64,
+}
+
+/// Builds a fresh (cold) engine, its event sink armed when tracing is on.
+fn build_engine(handle: &PrefetcherHandle, cfg: &SimConfig) -> Box<dyn Prefetcher> {
+    let mut p = handle.build(cfg);
+    if cfg.obs.events {
+        p.set_event_sink(true);
+    }
+    p
+}
+
+impl Site {
+    fn new(handle: Option<&PrefetcherHandle>, cfg: &SimConfig) -> Self {
+        Site {
+            prefetcher: handle.map(|h| build_engine(h, cfg)),
+            pq: if cfg.exec == ExecMode::Naive {
+                PrefetchQueue::new_linear(cfg.prefetch_queue)
+            } else {
+                PrefetchQueue::new(cfg.prefetch_queue)
+            },
+            cand_buf: Vec::new(),
+            telemetry: PrefetchTelemetry::default(),
+        }
+    }
+
+    /// Runs the engine on one access and queues each candidate that is
+    /// neither `present` (resident or in flight at this level) nor
+    /// queued already; a full queue cancels its oldest request. With
+    /// `events`, the engine's internal events are drained into it.
+    fn observe(
+        &mut self,
+        access: CacheAccess,
+        core: CoreId,
+        present: impl Fn(LineAddr) -> bool,
+        events: Option<&mut Vec<PrefetchEvent>>,
+    ) -> Queued {
+        let mut n = Queued::default();
+        let Some(p) = self.prefetcher.as_mut() else {
+            return n;
+        };
+        self.cand_buf.clear();
+        p.on_access(access, &mut self.cand_buf);
+        if let Some(buf) = events {
+            p.drain_events(buf);
+        }
+        let cancelled = self.pq.cancelled;
+        for &target in &self.cand_buf {
+            if present(target) || self.pq.contains(target) {
+                n.redundant += 1;
+            } else {
+                n.queued += 1;
+                self.pq.push(target, core);
+            }
+        }
+        n.cancelled = self.pq.cancelled - cancelled;
+        n
+    }
+
+    fn on_fill(&mut self, line: LineAddr, prefetched: bool) {
+        if let Some(p) = self.prefetcher.as_mut() {
+            p.on_fill(line, prefetched);
+        }
+    }
+}
+
 /// One core's private L2 complex.
 #[derive(Debug)]
 struct L2 {
     array: CacheArray,
     fq: FillQueue<L2Meta>,
-    pq: PrefetchQueue,
-    prefetcher: Box<dyn Prefetcher>,
+    site: Site,
     stalled: VecDeque<StalledReq>,
     /// (due cycle, line): L3-hit data arriving at the fill queue.
     ready_q: VecDeque<(Cycle, LineAddr)>,
     /// (due cycle, line): blocks forwarded up to the core (DL1/IL1).
     fill_out: VecDeque<(Cycle, LineAddr)>,
     sent_demand_this_cycle: bool,
-    cand_buf: Vec<LineAddr>,
-    telemetry: PrefetchTelemetry,
 }
 
 /// The shared uncore.
@@ -186,20 +283,12 @@ pub struct Uncore {
     /// (due cycle, request): requests in flight towards the L3.
     l3_in: VecDeque<(Cycle, L3Req)>,
     l3_stalled: VecDeque<L3Req>,
-    /// The L3 prefetch site's engine (`None` = site empty, the paper's
-    /// machine).
-    l3_prefetcher: Option<Box<dyn Prefetcher>>,
-    /// The L3 site's own lowest-priority prefetch queue: candidate lines
-    /// with the core whose access triggered them (for DRAM fairness
-    /// accounting). Oldest entries are cancelled on overflow.
-    l3_pq: VecDeque<(LineAddr, CoreId)>,
+    /// The shared L3 prefetch site. Its telemetry counts every
+    /// prefetch-class line in the L3, whichever engine issued it.
+    l3_site: Site,
     /// Any request reached the L3 this cycle: L3 prefetch issue waits
     /// (lowest priority, mirroring the per-L2 demand gate).
     l3_saw_request: bool,
-    /// Cumulative L3-site telemetry (shared, not per-core).
-    l3_telemetry: PrefetchTelemetry,
-    /// Candidate scratch buffer for the L3 prefetcher.
-    l3_cand_buf: Vec<LineAddr>,
     mem: MemorySystem,
     /// Cached [`MemorySystem::next_event`] bound, valid while
     /// `mem_seen_version` matches [`MemorySystem::version`]. Amortizes
@@ -244,21 +333,14 @@ impl Uncore {
                 } else {
                     FillQueue::new(cfg.l2_fill_queue)
                 },
-                pq: if naive {
-                    PrefetchQueue::new_linear(cfg.prefetch_queue)
-                } else {
-                    PrefetchQueue::new(cfg.prefetch_queue)
-                },
-                prefetcher: cfg.l2_prefetcher.build(cfg),
+                site: Site::new(Some(&cfg.l2_prefetcher), cfg),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
                 fill_out: VecDeque::new(),
                 sent_demand_this_cycle: false,
-                cand_buf: Vec::new(),
-                telemetry: PrefetchTelemetry::default(),
             })
             .collect();
-        let mut u = Uncore {
+        Uncore {
             l3: CacheArray::new(
                 cfg.l3_size,
                 cfg.l3_ways,
@@ -273,11 +355,8 @@ impl Uncore {
             },
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
-            l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|h| h.build(cfg)),
-            l3_pq: VecDeque::new(),
+            l3_site: Site::new(cfg.l3_prefetcher.as_ref(), cfg),
             l3_saw_request: false,
-            l3_telemetry: PrefetchTelemetry::default(),
-            l3_cand_buf: Vec::new(),
             mem: MemorySystem::new(MemConfig {
                 num_cores: cfg.active_cores,
                 ..Default::default()
@@ -293,16 +372,7 @@ impl Uncore {
             pf_event_buf: Vec::new(),
             l2s,
             cfg: cfg.clone(),
-        };
-        if u.recorder.is_some() {
-            for l2 in &mut u.l2s {
-                l2.prefetcher.set_event_sink(true);
-            }
-            if let Some(p) = u.l3_prefetcher.as_mut() {
-                p.set_event_sink(true);
-            }
         }
-        u
     }
 
     /// Whether cycle-domain event tracing is active.
@@ -339,22 +409,14 @@ impl Uncore {
         }
     }
 
-    /// Drains the prefetcher-internal events (best-offset round/phase
-    /// ends) of the engine at `site` into the shared log. No-op unless
-    /// tracing is enabled (the sinks are only armed then).
-    fn drain_prefetcher_events(&mut self, c: usize, site: ObsSite, now: Cycle) {
+    /// Logs the prefetcher-internal events (best-offset round/phase
+    /// ends) that [`Site::observe`] drained from the engine at `site`.
+    /// No-op unless tracing is enabled (the sinks are only armed then).
+    fn drain_prefetcher_events(&mut self, core: CoreId, site: ObsSite, now: Cycle) {
         if self.recorder.is_none() {
             return;
         }
         let mut buf = std::mem::take(&mut self.pf_event_buf);
-        match site {
-            ObsSite::L3 => {
-                if let Some(p) = self.l3_prefetcher.as_mut() {
-                    p.drain_events(&mut buf);
-                }
-            }
-            _ => self.l2s[c].prefetcher.drain_events(&mut buf),
-        }
         for ev in buf.drain(..) {
             let kind = match ev {
                 PrefetchEvent::RoundEnd {
@@ -378,7 +440,7 @@ impl Uncore {
                     scores,
                 },
             };
-            self.emit(now, CoreId(c as u8), site, kind);
+            self.emit(now, core, site, kind);
         }
         self.pf_event_buf = buf;
     }
@@ -393,21 +455,21 @@ impl Uncore {
         self.mem.stats()
     }
 
-    /// Access to the L2 prefetcher of a core (introspection for tests and
-    /// examples).
-    pub fn l2_prefetcher(&self, core: CoreId) -> &dyn Prefetcher {
-        self.l2s[core.index()].prefetcher.as_ref()
-    }
-
-    /// Access to the L3 site's prefetcher, if the site is occupied.
-    pub fn l3_prefetcher(&self) -> Option<&dyn Prefetcher> {
-        self.l3_prefetcher.as_deref()
+    /// The engine at prefetch site `at` (core `core`'s L2, or the shared
+    /// L3; the core is ignored there), if the site is occupied. The L1D
+    /// site lives in the core, not here.
+    pub fn prefetcher(&self, at: PrefetchSite, core: CoreId) -> Option<&dyn Prefetcher> {
+        match at {
+            PrefetchSite::L1D => None,
+            PrefetchSite::L2 => self.l2s[core.index()].site.prefetcher.as_deref(),
+            PrefetchSite::L3 => self.l3_site.prefetcher.as_deref(),
+        }
     }
 
     /// Snapshot of a core's cumulative L2-site prefetch-usefulness
     /// telemetry.
     pub fn prefetch_telemetry(&self, core: CoreId) -> PrefetchTelemetry {
-        self.l2s[core.index()].telemetry
+        self.l2s[core.index()].site.telemetry
     }
 
     /// Snapshot of the shared L3 site's cumulative prefetch-usefulness
@@ -415,62 +477,42 @@ impl Uncore {
     /// the issuing engine (L2 prefetches fill the L3 too, §5.4);
     /// `issued` counts only the L3 site's own DRAM requests.
     pub fn l3_prefetch_telemetry(&self) -> PrefetchTelemetry {
-        self.l3_telemetry
+        self.l3_site.telemetry
     }
 
-    /// Applies a runtime reconfiguration directive to a core's L2
-    /// prefetcher. [`TuneDirective::SwitchPrefetcher`] is handled here —
-    /// the named registry prefetcher is built fresh (cold state) and
-    /// swapped in; everything else is delegated to the running
-    /// prefetcher's [`Prefetcher::reconfigure`] hook. Returns whether
-    /// the directive was applied.
-    pub fn reconfigure_prefetcher(&mut self, core: CoreId, directive: &TuneDirective) -> bool {
-        let l2 = &mut self.l2s[core.index()];
+    /// Applies a runtime reconfiguration directive to prefetch site `at`
+    /// (core `core`'s L2, or the shared L3; the core is ignored there).
+    /// [`TuneDirective::SwitchPrefetcher`] is handled here — the named
+    /// registry prefetcher, if it attaches to `at`, is built fresh (cold
+    /// state) and swapped in; everything else is delegated to the
+    /// running prefetcher's [`Prefetcher::reconfigure`] hook. An empty
+    /// site rejects every directive, switches included: a configuration
+    /// declared L3-prefetch-free stays that way for the whole run.
+    /// Returns whether the directive was applied.
+    pub fn reconfigure(
+        &mut self,
+        at: PrefetchSite,
+        core: CoreId,
+        directive: &TuneDirective,
+    ) -> bool {
+        let site = match at {
+            PrefetchSite::L1D => return false,
+            PrefetchSite::L2 => &mut self.l2s[core.index()].site,
+            PrefetchSite::L3 => &mut self.l3_site,
+        };
+        let Some(engine) = site.prefetcher.as_mut() else {
+            return false;
+        };
         match directive {
             TuneDirective::SwitchPrefetcher(name) => match crate::registry::registry().lookup(name)
             {
-                Some(handle) if handle.supports_site(PrefetchSite::L2) => {
-                    l2.prefetcher = handle.build(&self.cfg);
-                    if self.recorder.is_some() {
-                        l2.prefetcher.set_event_sink(true);
-                    }
+                Some(handle) if handle.supports_site(at) => {
+                    *engine = build_engine(&handle, &self.cfg);
                     true
                 }
                 _ => false,
             },
-            other => l2.prefetcher.reconfigure(other),
-        }
-    }
-
-    /// Applies a runtime reconfiguration directive to the shared L3
-    /// site. [`TuneDirective::SwitchPrefetcher`] rebuilds from the
-    /// registry (the name must attach to the L3 site); other directives
-    /// go to the running prefetcher. Every directive — switches
-    /// included — is rejected when the site is empty: a configuration
-    /// declared L3-prefetch-free stays that way for the whole run.
-    pub fn reconfigure_l3_prefetcher(&mut self, directive: &TuneDirective) -> bool {
-        if self.l3_prefetcher.is_none() {
-            return false;
-        }
-        match directive {
-            TuneDirective::SwitchPrefetcher(name) => {
-                match crate::registry::registry().lookup(name) {
-                    Some(handle) if handle.supports_site(PrefetchSite::L3) => {
-                        let mut p = handle.build(&self.cfg);
-                        if self.recorder.is_some() {
-                            p.set_event_sink(true);
-                        }
-                        self.l3_prefetcher = Some(p);
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            other => self
-                .l3_prefetcher
-                .as_mut()
-                .expect("checked non-empty above") // bosim-lint: allow(P002, peeked non-empty above)
-                .reconfigure(other),
+            other => engine.reconfigure(other),
         }
     }
 
@@ -504,97 +546,99 @@ impl Uncore {
     ) {
         let c = core.index();
         self.stats.l2_accesses += 1;
-        self.l2s[c].telemetry.accesses += 1;
+        self.l2s[c].site.telemetry.accesses += 1;
         let hit = self.l2s[c].array.access(line, false);
-        match hit {
-            Some(info) => {
-                let outcome = if info.was_prefetch {
-                    self.stats.l2_prefetched_hits += 1;
-                    // First core-side touch of a prefetch-bit line: the
-                    // fill was useful (the access cleared the bit, so
-                    // this counts once per prefetched fill).
-                    self.l2s[c].telemetry.useful += 1;
-                    self.emit(now, core, ObsSite::L2, EventKind::FirstHit { line: line.0 });
-                    AccessOutcome::PrefetchedHit
-                } else {
-                    self.stats.l2_hits += 1;
-                    AccessOutcome::Hit
-                };
-                self.l2s[c]
-                    .fill_out
-                    .push_back((now + self.cfg.l2_latency, line));
-                if !ifetch {
-                    self.run_prefetcher(c, line, outcome, now);
-                }
+        if let Some(info) = hit {
+            let outcome = if info.was_prefetch {
+                self.stats.l2_prefetched_hits += 1;
+                // First core-side touch of a prefetch-bit line: the
+                // fill was useful (the access cleared the bit, so this
+                // counts once per prefetched fill).
+                self.l2s[c].site.telemetry.useful += 1;
+                self.emit(now, core, ObsSite::L2, EventKind::FirstHit { line: line.0 });
+                AccessOutcome::PrefetchedHit
+            } else {
+                self.stats.l2_hits += 1;
+                AccessOutcome::Hit
+            };
+            self.l2s[c]
+                .fill_out
+                .push_back((now + self.cfg.l2_latency, line));
+            if !ifetch {
+                self.run_site(ObsSite::L2, core, line, outcome, now);
             }
-            None => {
-                self.stats.l2_misses += 1;
-                self.l2s[c].telemetry.misses += 1;
-                // CAM search of the fill queue: late-prefetch promotion.
-                let mut late = false;
-                let merged = {
-                    let l2 = &mut self.l2s[c];
-                    if let Some(e) = l2.fq.find_mut(line) {
-                        if class == ReqClass::Demand {
-                            if e.class == ReqClass::L2Prefetch {
-                                // A correct-but-late prefetch: the demand
-                                // caught the fill in flight.
-                                l2.telemetry.late_promotions += 1;
-                                late = true;
-                            }
-                            e.class = ReqClass::Demand;
-                        }
-                        e.payload.to_il1 |= ifetch;
-                        e.payload.to_dl1 |= !ifetch;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if late {
-                    self.emit(
-                        now,
-                        core,
-                        ObsSite::L2,
-                        EventKind::LateMerge { line: line.0 },
-                    );
-                }
-                if merged {
-                    self.stats.l2_fill_merges += 1;
-                    // Also promote a matching in-flight L3 request.
-                    self.promote_l3_inflight(core, line, ifetch);
-                    if !ifetch {
-                        self.run_prefetcher(c, line, AccessOutcome::Miss, now);
-                    }
-                    return;
-                }
-                // A pending prefetch-queue request for this line becomes
-                // this demand miss.
-                self.l2s[c].pq.remove(line);
-                if !ifetch {
-                    self.run_prefetcher(c, line, AccessOutcome::Miss, now);
-                }
-                let req = StalledReq {
-                    line,
-                    class,
-                    ifetch,
-                };
-                self.forward_to_l3(core, req, now);
-            }
+            return;
         }
+        self.stats.l2_misses += 1;
+        self.l2s[c].site.telemetry.misses += 1;
+        // CAM search of the fill queue: late-prefetch promotion.
+        let merged = self.merge_l2_fill(core, line, class, ifetch, now);
+        if merged {
+            self.stats.l2_fill_merges += 1;
+            // Also promote a matching in-flight L3 request.
+            self.promote_l3_inflight(core, line, class, ifetch);
+        } else {
+            // A pending prefetch-queue request for this line becomes
+            // this demand miss.
+            self.l2s[c].site.pq.remove(line);
+        }
+        if !ifetch {
+            self.run_site(ObsSite::L2, core, line, AccessOutcome::Miss, now);
+        }
+        if !merged {
+            let req = StalledReq {
+                line,
+                class,
+                ifetch,
+            };
+            self.forward_to_l3(core, req, now);
+        }
+    }
+
+    /// Merges a request into the in-flight fill for its line in `core`'s
+    /// L2 fill queue, if there is one, and returns whether there was. A
+    /// demand promotes the fill (one that catches an L2 prefetch is a
+    /// correct but late prefetch), and the block is forwarded wherever
+    /// the request wants it.
+    fn merge_l2_fill(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        class: ReqClass,
+        ifetch: bool,
+        now: Cycle,
+    ) -> bool {
+        let l2 = &mut self.l2s[core.index()];
+        let Some(e) = l2.fq.find_mut(line) else {
+            return false;
+        };
+        let late = class == ReqClass::Demand && e.class == ReqClass::L2Prefetch;
+        if class == ReqClass::Demand {
+            e.class = ReqClass::Demand;
+        }
+        e.payload.merge(L2Meta::of(class, ifetch));
+        if late {
+            l2.site.telemetry.late_promotions += 1;
+            self.emit(
+                now,
+                core,
+                ObsSite::L2,
+                EventKind::LateMerge { line: line.0 },
+            );
+        }
+        true
     }
 
     /// A demand for a line whose L2 entry was released (L3-miss window):
     /// the request may be in `l3_in`, `l3_stalled` or the L3 fill queue —
     /// promote it there so the forward reaches the core.
-    fn promote_l3_inflight(&mut self, core: CoreId, line: LineAddr, ifetch: bool) {
+    fn promote_l3_inflight(&mut self, core: CoreId, line: LineAddr, class: ReqClass, ifetch: bool) {
         if let Some(e) = self.l3_fq.find_mut(line) {
             e.class = ReqClass::Demand;
             for f in &mut e.payload.forwards {
                 if f.core == core {
                     f.class = ReqClass::Demand;
-                    f.to_il1 |= ifetch;
-                    f.to_dl1 |= !ifetch;
+                    f.to.merge(L2Meta::of(class, ifetch));
                 }
             }
         }
@@ -615,10 +659,7 @@ impl Uncore {
     /// not issued until there is a free entry").
     fn forward_to_l3(&mut self, core: CoreId, req: StalledReq, now: Cycle) {
         let c = core.index();
-        let meta = L2Meta {
-            to_il1: req.ifetch,
-            to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
-        };
+        let meta = L2Meta::of(req.class, req.ifetch);
         if !self.l2s[c].fq.try_reserve(req.line, req.class, meta) {
             self.l2s[c].stalled.push_back(req);
             return;
@@ -645,65 +686,44 @@ impl Uncore {
         ));
     }
 
-    /// Runs the L2 prefetcher on an eligible access and queues its
-    /// prefetch candidates.
-    fn run_prefetcher(&mut self, c: usize, line: LineAddr, outcome: AccessOutcome, now: Cycle) {
-        let mut cand = std::mem::take(&mut self.l2s[c].cand_buf);
-        cand.clear();
-        self.l2s[c]
-            .prefetcher
-            .on_access(CacheAccess { line, outcome }, &mut cand);
-        self.drain_prefetcher_events(c, ObsSite::L2, now);
-        for &target in &cand {
-            let l2 = &mut self.l2s[c];
-            // Redundancy checks: resident, in flight, or already queued.
-            if l2.array.contains(target) || l2.fq.find(target).is_some() || l2.pq.contains(target) {
-                self.stats.l2_prefetches_redundant += 1;
-                continue;
-            }
-            self.stats.l2_prefetches_queued += 1;
-            let before = l2.pq.cancelled;
-            l2.pq.push(target);
-            self.stats.l2_prefetches_cancelled += l2.pq.cancelled - before;
-        }
-        self.l2s[c].cand_buf = cand;
-    }
-
-    /// Runs the L3-site prefetcher on an eligible L3 access and queues
-    /// its candidates into the site's own lowest-priority queue.
-    fn run_l3_prefetcher(
+    /// Runs the engine of prefetch site `at` (core `core`'s L2, or the
+    /// shared L3 on an access `core` triggered) on an eligible access and
+    /// queues its candidates into the site's lowest-priority queue.
+    fn run_site(
         &mut self,
+        at: ObsSite,
         core: CoreId,
         line: LineAddr,
         outcome: AccessOutcome,
         now: Cycle,
     ) {
-        let Some(prefetcher) = self.l3_prefetcher.as_mut() else {
-            return;
+        let access = CacheAccess { line, outcome };
+        let events = self.recorder.is_some().then_some(&mut self.pf_event_buf);
+        let s = &mut self.stats;
+        let (n, queued, cancelled, redundant) = if at == ObsSite::L3 {
+            let (array, fq) = (&self.l3, &self.l3_fq);
+            let present = |t| array.contains(t) || fq.find(t).is_some();
+            (
+                self.l3_site.observe(access, core, present, events),
+                &mut s.l3_prefetches_queued,
+                &mut s.l3_prefetches_cancelled,
+                &mut s.l3_prefetches_redundant,
+            )
+        } else {
+            let l2 = &mut self.l2s[core.index()];
+            let (array, fq) = (&l2.array, &l2.fq);
+            let present = |t| array.contains(t) || fq.find(t).is_some();
+            (
+                l2.site.observe(access, core, present, events),
+                &mut s.l2_prefetches_queued,
+                &mut s.l2_prefetches_cancelled,
+                &mut s.l2_prefetches_redundant,
+            )
         };
-        let mut cand = std::mem::take(&mut self.l3_cand_buf);
-        cand.clear();
-        prefetcher.on_access(CacheAccess { line, outcome }, &mut cand);
-        self.drain_prefetcher_events(core.index(), ObsSite::L3, now);
-        for &target in &cand {
-            // Redundancy checks: resident, in flight, or already queued.
-            if self.l3.contains(target)
-                || self.l3_fq.find(target).is_some()
-                || self.l3_pq.iter().any(|&(l, _)| l == target)
-            {
-                self.stats.l3_prefetches_redundant += 1;
-                continue;
-            }
-            self.stats.l3_prefetches_queued += 1;
-            if self.l3_pq.len() >= self.cfg.prefetch_queue {
-                // Queue overflow cancels the oldest entry (§5.4: L2/L3
-                // prefetches can be cancelled at any time).
-                self.l3_pq.pop_front();
-                self.stats.l3_prefetches_cancelled += 1;
-            }
-            self.l3_pq.push_back((target, core));
-        }
-        self.l3_cand_buf = cand;
+        *queued += n.queued;
+        *cancelled += n.cancelled;
+        *redundant += n.redundant;
+        self.drain_prefetcher_events(core, at, now);
     }
 
     /// Issues at most one L3-site prefetch to DRAM, only on cycles when
@@ -711,10 +731,10 @@ impl Uncore {
     /// Resource pressure cancels the request — prefetches are never
     /// retried.
     fn issue_l3_prefetch(&mut self, now: Cycle) {
-        if self.l3_saw_request || self.l3_pq.is_empty() {
+        if self.l3_saw_request {
             return;
         }
-        let Some((line, core)) = self.l3_pq.pop_front() else {
+        let Some((line, core)) = self.l3_site.pq.pop() else {
             return;
         };
         // Mandatory tag checks before issue: the block may have arrived
@@ -750,7 +770,7 @@ impl Uncore {
         let accepted = self.mem.enqueue_read(line, core, 0, now);
         debug_assert!(accepted, "checked for space above");
         self.stats.l3_prefetches_issued += 1;
-        self.l3_telemetry.issued += 1;
+        self.l3_site.telemetry.issued += 1;
         self.emit(
             now,
             core,
@@ -763,6 +783,32 @@ impl Uncore {
             ObsSite::L3,
             EventKind::FillQueued { line: line.0 },
         );
+    }
+
+    /// Accounts for the block an insertion into level `at` (core
+    /// `core`'s L2, or the L3 on `core`'s behalf) evicted, if any: a
+    /// block evicted with the prefetch bit still set was fetched but
+    /// never used, and a dirty one is written back a level down.
+    fn evicted(&mut self, at: ObsSite, core: CoreId, evicted: Option<Evicted>, now: Cycle) {
+        let Some(ev) = evicted else {
+            return;
+        };
+        if ev.prefetch {
+            let site = if at == ObsSite::L3 {
+                &mut self.l3_site
+            } else {
+                &mut self.l2s[core.index()].site
+            };
+            site.telemetry.unused_evicted += 1;
+            self.emit(now, core, at, EventKind::UnusedEvict { line: ev.line.0 });
+        }
+        if ev.dirty {
+            if at == ObsSite::L3 {
+                self.wb_buf.push_back((ev.line, core));
+            } else {
+                self.l3_writeback(core, ev.line, now);
+            }
+        }
     }
 
     /// A dirty line written back from a core's DL1.
@@ -780,20 +826,7 @@ impl Uncore {
                 core,
             },
         );
-        if let Some(ev) = evicted {
-            if ev.prefetch {
-                self.l2s[c].telemetry.unused_evicted += 1;
-                self.emit(
-                    now,
-                    core,
-                    ObsSite::L2,
-                    EventKind::UnusedEvict { line: ev.line.0 },
-                );
-            }
-            if ev.dirty {
-                self.l3_writeback(core, ev.line, now);
-            }
-        }
+        self.evicted(ObsSite::L2, core, evicted, now);
     }
 
     /// A dirty line leaving an L2 (eviction) updates or allocates in the
@@ -811,21 +844,7 @@ impl Uncore {
                 core,
             },
         );
-        if let Some(ev) = evicted {
-            if ev.prefetch {
-                // An untouched prefetch-bit line fell out of the L3.
-                self.l3_telemetry.unused_evicted += 1;
-                self.emit(
-                    now,
-                    core,
-                    ObsSite::L3,
-                    EventKind::UnusedEvict { line: ev.line.0 },
-                );
-            }
-            if ev.dirty {
-                self.wb_buf.push_back((ev.line, core));
-            }
-        }
+        self.evicted(ObsSite::L3, core, evicted, now);
     }
 
     /// Processes a request arriving at the L3.
@@ -836,7 +855,7 @@ impl Uncore {
         let first_arrival = !req.counted;
         if first_arrival {
             self.stats.l3_accesses += 1;
-            self.l3_telemetry.accesses += 1;
+            self.l3_site.telemetry.accesses += 1;
         }
         let hit = self.l3.access(req.line, false);
         if let Some(info) = hit {
@@ -844,7 +863,7 @@ impl Uncore {
                 // First touch from above of a prefetch-bit L3 line: the
                 // fill was useful (the access cleared the bit, so this
                 // counts once per prefetched fill).
-                self.l3_telemetry.useful += 1;
+                self.l3_site.telemetry.useful += 1;
                 self.emit(
                     now,
                     req.core,
@@ -860,49 +879,27 @@ impl Uncore {
                 } else {
                     AccessOutcome::Hit
                 };
-                self.run_l3_prefetcher(req.core, req.line, outcome, now);
+                self.run_site(ObsSite::L3, req.core, req.line, outcome, now);
             }
-            if req.counted {
-                // A stalled-then-retried request whose block landed in
-                // the L3 while it waited (another core's fill or a
-                // writeback-allocate). Its L2 fill-queue entry was
-                // released on the first (miss) arrival, so it must be
-                // re-reserved before the L3-hit data can be accepted.
-                // The request is recorded as a hit — no DRAM fetch of
-                // its own services it (classification happens here, at
-                // service time, never at the stalled first arrival).
-                let l2 = &mut self.l2s[req.core.index()];
-                let mut late = false;
-                if let Some(e) = l2.fq.find_mut(req.line) {
-                    if req.class == ReqClass::Demand {
-                        if e.class == ReqClass::L2Prefetch {
-                            l2.telemetry.late_promotions += 1;
-                            late = true;
-                        }
-                        e.class = ReqClass::Demand;
-                    }
-                    e.payload.to_il1 |= req.ifetch;
-                    e.payload.to_dl1 |= !req.ifetch && req.class != ReqClass::L2Prefetch;
-                    if late {
-                        self.emit(
-                            now,
-                            req.core,
-                            ObsSite::L2,
-                            EventKind::LateMerge { line: req.line.0 },
-                        );
-                    }
-                } else if !l2.fq.try_reserve(
+            // A stalled-then-retried request whose block landed in the
+            // L3 while it waited (another core's fill or a
+            // writeback-allocate). Its L2 fill-queue entry was released
+            // on the first (miss) arrival, so it must be re-reserved
+            // before the L3-hit data can be accepted. The request is
+            // recorded as a hit — no DRAM fetch of its own services it
+            // (classification happens here, at service time, never at
+            // the stalled first arrival).
+            if req.counted
+                && !self.merge_l2_fill(req.core, req.line, req.class, req.ifetch, now)
+                && !self.l2s[req.core.index()].fq.try_reserve(
                     req.line,
                     req.class,
-                    L2Meta {
-                        to_il1: req.ifetch,
-                        to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
-                    },
-                ) {
-                    // No free L2 entry: the retry stays stalled.
-                    self.l3_stalled.push_back(req);
-                    return;
-                }
+                    L2Meta::of(req.class, req.ifetch),
+                )
+            {
+                // No free L2 entry: the retry stays stalled.
+                self.l3_stalled.push_back(req);
+                return;
             }
             self.stats.l3_hits += 1;
             // Data returns to the requesting L2 after the L3 latency.
@@ -912,9 +909,9 @@ impl Uncore {
             return;
         }
         if first_arrival {
-            self.l3_telemetry.misses += 1;
+            self.l3_site.telemetry.misses += 1;
             if !req.ifetch {
-                self.run_l3_prefetcher(req.core, req.line, AccessOutcome::Miss, now);
+                self.run_site(ObsSite::L3, req.core, req.line, AccessOutcome::Miss, now);
             }
         }
         // The miss is recorded at the terminal outcome below (merge,
@@ -931,8 +928,7 @@ impl Uncore {
         let fwd = Fwd {
             core: req.core,
             class: req.class,
-            to_il1: req.ifetch,
-            to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
+            to: L2Meta::of(req.class, req.ifetch),
         };
         // Merge into a pending L3 fill (the block is already on its way).
         let mut late_l3 = false;
@@ -942,7 +938,7 @@ impl Uncore {
                 if e.class == ReqClass::L3Prefetch {
                     // The demand caught an L3-site prefetch in flight:
                     // correct but late, charged to the shared L3 site.
-                    self.l3_telemetry.late_promotions += 1;
+                    self.l3_site.telemetry.late_promotions += 1;
                     late_l3 = true;
                 }
                 if e.class == ReqClass::L2Prefetch && req.core == e.payload.requester {
@@ -953,7 +949,7 @@ impl Uncore {
                     // issuer's (re-reserved) L2 entry prefetch-class,
                     // and a later same-core merge *there* would count
                     // the same prefetch a second time.
-                    self.l2s[req.core.index()].telemetry.late_promotions += 1;
+                    self.l2s[req.core.index()].site.telemetry.late_promotions += 1;
                     late_l2 = true;
                 }
                 e.class = ReqClass::Demand;
@@ -1053,7 +1049,7 @@ impl Uncore {
                 // Every prefetch-class insertion counts toward the L3
                 // site's resolution invariant (L2 prefetches fill the
                 // L3 on their way up, §5.4).
-                self.l3_telemetry.prefetch_fills += 1;
+                self.l3_site.telemetry.prefetch_fills += 1;
                 self.emit(
                     now,
                     entry.payload.requester,
@@ -1064,24 +1060,10 @@ impl Uncore {
             if entry.class == ReqClass::L3Prefetch {
                 self.stats.l3_prefetch_fills += 1;
             }
-            if let Some(ev) = evicted {
-                if ev.prefetch {
-                    self.l3_telemetry.unused_evicted += 1;
-                    self.emit(
-                        now,
-                        entry.payload.requester,
-                        ObsSite::L3,
-                        EventKind::UnusedEvict { line: ev.line.0 },
-                    );
-                }
-                if ev.dirty {
-                    self.wb_buf.push_back((ev.line, entry.payload.requester));
-                }
-            }
+            self.evicted(ObsSite::L3, entry.payload.requester, evicted, now);
         }
-        if let Some(p) = self.l3_prefetcher.as_mut() {
-            p.on_fill(entry.line, entry.class == ReqClass::L3Prefetch);
-        }
+        self.l3_site
+            .on_fill(entry.line, entry.class == ReqClass::L3Prefetch);
         // Forward to the L2 fill queues (ready immediately: the block is
         // written into the L3 and forwarded simultaneously, §5.4).
         for f in entry.payload.forwards {
@@ -1092,20 +1074,11 @@ impl Uncore {
                 if f.class == ReqClass::Demand {
                     e.class = ReqClass::Demand;
                 }
-                e.payload.to_il1 |= f.to_il1;
-                e.payload.to_dl1 |= f.to_dl1;
-                l2.fq.set_ready(entry.line);
-                continue;
+                e.payload.merge(f.to);
+            } else {
+                let ok = l2.fq.try_reserve(entry.line, f.class, f.to);
+                debug_assert!(ok, "capacity checked above");
             }
-            let ok = l2.fq.try_reserve(
-                entry.line,
-                f.class,
-                L2Meta {
-                    to_il1: f.to_il1,
-                    to_dl1: f.to_dl1,
-                },
-            );
-            debug_assert!(ok, "capacity checked above");
             l2.fq.set_ready(entry.line);
         }
     }
@@ -1126,6 +1099,7 @@ impl Uncore {
         let Some(entry) = self.l2s[c].fq.pop_ready() else {
             return;
         };
+        let core = CoreId(c as u8);
         let prefetched = entry.class == ReqClass::L2Prefetch;
         // Mandatory tag check before inserting a prefetched block (§5.4)
         // — applied to all fills: blocks must never be duplicated.
@@ -1136,37 +1110,22 @@ impl Uncore {
                 false,
                 InsertCtx {
                     demand: !prefetched,
-                    core: CoreId(c as u8),
+                    core,
                 },
             );
             if prefetched {
                 self.stats.l2_prefetch_fills += 1;
-                self.l2s[c].telemetry.prefetch_fills += 1;
+                self.l2s[c].site.telemetry.prefetch_fills += 1;
                 self.emit(
                     now,
-                    CoreId(c as u8),
+                    core,
                     ObsSite::L2,
                     EventKind::PrefetchFill { line: entry.line.0 },
                 );
             }
-            if let Some(ev) = evicted {
-                if ev.prefetch {
-                    // Evicted with the prefetch bit still set: fetched
-                    // but never used.
-                    self.l2s[c].telemetry.unused_evicted += 1;
-                    self.emit(
-                        now,
-                        CoreId(c as u8),
-                        ObsSite::L2,
-                        EventKind::UnusedEvict { line: ev.line.0 },
-                    );
-                }
-                if ev.dirty {
-                    self.l3_writeback(CoreId(c as u8), ev.line, now);
-                }
-            }
+            self.evicted(ObsSite::L2, core, evicted, now);
         }
-        self.l2s[c].prefetcher.on_fill(entry.line, prefetched);
+        self.l2s[c].site.on_fill(entry.line, prefetched);
         if entry.payload.to_dl1 || entry.payload.to_il1 {
             self.l2s[c].fill_out.push_back((now + 1, entry.line));
         }
@@ -1174,15 +1133,13 @@ impl Uncore {
 
     /// Issues at most one prefetch-queue request to the L3, only when the
     /// core sent no demand request this cycle (lowest priority, §5.4).
+    /// A full L2 fill queue leaves the request queued, so an issued
+    /// prefetch always gets its fill-queue entry and never stalls.
     fn issue_prefetch(&mut self, c: usize, now: Cycle) {
-        if self.l2s[c].sent_demand_this_cycle {
+        if self.l2s[c].sent_demand_this_cycle || self.l2s[c].fq.is_full() {
             return;
         }
-        // Peek: if the L2 fill queue is full, leave the request queued.
-        if self.l2s[c].fq.is_full() {
-            return;
-        }
-        let Some(line) = self.l2s[c].pq.pop() else {
+        let Some((line, core)) = self.l2s[c].site.pq.pop() else {
             return;
         };
         // Tag checks before issue (§6.3: mandatory for SBP, cheap and
@@ -1192,10 +1149,10 @@ impl Uncore {
             return;
         }
         self.stats.l2_prefetches_issued += 1;
-        self.l2s[c].telemetry.issued += 1;
+        self.l2s[c].site.telemetry.issued += 1;
         self.emit(
             now,
-            CoreId(c as u8),
+            core,
             ObsSite::L2,
             EventKind::PrefetchIssued { line: line.0 },
         );
@@ -1204,56 +1161,7 @@ impl Uncore {
             class: ReqClass::L2Prefetch,
             ifetch: false,
         };
-        self.forward_to_l3(CoreId(c as u8), req, now);
-    }
-
-    /// One-line state dump for stall diagnostics.
-    pub fn debug_state(&self) -> String {
-        let l2s: Vec<String> = self
-            .l2s
-            .iter()
-            .map(|l2| {
-                format!(
-                    "fq={}/{} [{}] pq={} stalled={} ready_q={} out={}",
-                    l2.fq.len(),
-                    l2.fq.capacity(),
-                    l2.fq
-                        .iter()
-                        .map(|e| format!(
-                            "{:x}:{}{}",
-                            e.line.0,
-                            if e.is_ready() { "R" } else { "w" },
-                            match e.class {
-                                ReqClass::Demand => "D",
-                                ReqClass::L1Prefetch => "1",
-                                ReqClass::L2Prefetch => "2",
-                                ReqClass::L3Prefetch => "3",
-                            }
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    l2.pq.len(),
-                    l2.stalled.len(),
-                    l2.ready_q.len(),
-                    l2.fill_out.len(),
-                )
-            })
-            .collect();
-        format!(
-            "l3_fq={}/{} [{}] l3_in={} l3_stalled={} l3_pq={} wb={} | L2: {}",
-            self.l3_fq.len(),
-            self.l3_fq.capacity(),
-            self.l3_fq
-                .iter()
-                .map(|e| format!("{:x}:{}", e.line.0, if e.is_ready() { "R" } else { "w" }))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.l3_in.len(),
-            self.l3_stalled.len(),
-            self.l3_pq.len(),
-            self.wb_buf.len(),
-            l2s.join(" || ")
-        )
+        self.forward_to_l3(core, req, now);
     }
 
     /// Advances the uncore by one cycle. Returns `(core, line)` fills due
@@ -1313,7 +1221,7 @@ impl Uncore {
             let idle = !self.naive
                 && !l2.fq.has_ready()
                 && l2.stalled.is_empty()
-                && l2.pq.is_empty()
+                && l2.site.pq.is_empty()
                 && l2.ready_q.front().is_none_or(|&(t, _)| t > now)
                 && l2.fill_out.front().is_none_or(|&(t, _)| t > now);
             if idle {
@@ -1321,32 +1229,13 @@ impl Uncore {
                 l2.sent_demand_this_cycle = false;
                 continue;
             }
+            let core = CoreId(c as u8);
             self.drain_l2_fq(c, now);
-            // Retry one stalled demand request.
+            // Retry one stalled demand request (issue_prefetch never lets
+            // a prefetch stall); it may now merge with an in-flight fill.
             if let Some(req) = self.l2s[c].stalled.pop_front() {
-                // It may now merge with an in-flight fill.
-                let l2 = &mut self.l2s[c];
-                let mut late = false;
-                if let Some(e) = l2.fq.find_mut(req.line) {
-                    if req.class == ReqClass::Demand {
-                        if e.class == ReqClass::L2Prefetch {
-                            l2.telemetry.late_promotions += 1;
-                            late = true;
-                        }
-                        e.class = ReqClass::Demand;
-                    }
-                    e.payload.to_il1 |= req.ifetch;
-                    e.payload.to_dl1 |= !req.ifetch;
-                    if late {
-                        self.emit(
-                            now,
-                            CoreId(c as u8),
-                            ObsSite::L2,
-                            EventKind::LateMerge { line: req.line.0 },
-                        );
-                    }
-                } else {
-                    self.forward_to_l3(CoreId(c as u8), req, now);
+                if !self.merge_l2_fill(core, req.line, req.class, req.ifetch, now) {
+                    self.forward_to_l3(core, req, now);
                 }
             }
             self.issue_prefetch(c, now);
@@ -1356,7 +1245,7 @@ impl Uncore {
                 match self.l2s[c].fill_out.front() {
                     Some(&(t, line)) if t <= now => {
                         self.l2s[c].fill_out.pop_front();
-                        fills.push((CoreId(c as u8), line));
+                        fills.push((core, line));
                     }
                     _ => break,
                 }
@@ -1374,89 +1263,27 @@ impl Uncore {
         }
     }
 
-    /// The earliest cycle ≥ `from` at which [`tick`](Self::tick) can do
-    /// any work, or [`Cycle::MAX`] when the uncore is fully quiescent
-    /// (nothing in flight anywhere — only a new core request wakes it).
-    ///
-    /// Used by the system loop to fast-forward through idle stretches;
-    /// the bound is conservative (it may name a cycle where nothing
-    /// happens) but never late (it never skips a state change).
-    pub fn next_event_cycle(&self, from: Cycle) -> Cycle {
-        // Cheap denials first: retries and drains act every cycle while
-        // their queues hold anything (the L3 prefetch queue may issue on
-        // any quiet cycle).
-        if !self.l3_stalled.is_empty()
-            || self.l3_fq.has_ready()
-            || !self.wb_buf.is_empty()
-            || !self.l3_pq.is_empty()
-        {
-            return from;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&(d, _)) = self.l3_in.front() {
-            if d <= from {
-                return from;
-            }
-            t = t.min(d);
-        }
-        for l2 in &self.l2s {
-            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.pq.is_empty() {
-                return from;
-            }
-            if let Some(&(d, _)) = l2.ready_q.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
-            if let Some(&(d, _)) = l2.fill_out.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
-        }
-        // The queue bounds above are O(1); the DRAM bound walks every
-        // queued request. When the uncore queues already cap the skip at
-        // a few cycles AND the memory system is deeply queued, the walk
-        // cannot pay for itself — decline the skip (returning `from`
-        // means "step normally", which is always safe) instead of
-        // scanning the memory system.
-        const MIN_WORTHWHILE_SKIP: Cycle = 8;
-        const CHEAP_MEM_SCAN: usize = 16;
-        if t <= from + MIN_WORTHWHILE_SKIP && self.mem.queue_depth() > CHEAP_MEM_SCAN {
-            return from;
-        }
-        match self.mem.next_event(from) {
-            Some(e) if e <= from => from,
-            Some(e) => t.min(e),
-            None => t,
-        }
-    }
-
-    /// The next cycle (strictly after `now`) the scheduled loop must
-    /// tick this uncore at — the wake-up it posts to the event wheel
-    /// right after a tick. [`Cycle::MAX`] means fully quiescent: only a
+    /// The next cycle (strictly after `now`) at which [`tick`](Self::tick)
+    /// can do any work — the wake-up the scheduled loop posts to the
+    /// event wheel right after a tick — or [`Cycle::MAX`] when the
+    /// uncore is fully quiescent: nothing in flight anywhere, so only a
     /// new core request re-arms it (the system re-posts on dispatch).
     ///
-    /// Same one-sided contract as
-    /// [`next_event_cycle`](Self::next_event_cycle): early wake-ups are
-    /// no-op ticks, late
-    /// ones never happen. Unlike that method this one has no
-    /// "walk-not-worth-it" decline heuristic — the expensive DRAM queue
-    /// walk is cached and re-done only when [`MemorySystem::version`]
-    /// moves, so even deeply-queued memory phases pay for it once per
-    /// state change rather than once per cycle. The demand-priority
-    /// flags need no term here: a set `sent_demand_this_cycle` flag only
-    /// matters to a later prefetch issue, which requires a non-empty
-    /// prefetch queue — and any non-empty prefetch queue already pins
-    /// the wake-up to the very next cycle.
+    /// The bound is one-sided: an early wake-up is a no-op tick, a late
+    /// one never happens. The expensive DRAM queue walk is cached and
+    /// re-done only when [`MemorySystem::version`] moves, so even
+    /// deeply-queued memory phases pay for it once per state change
+    /// rather than once per cycle. The demand-priority flags need no
+    /// term here: a set `sent_demand_this_cycle` flag only matters to a
+    /// later prefetch issue, which requires a non-empty prefetch queue —
+    /// and any non-empty prefetch queue already pins the wake-up to the
+    /// very next cycle.
     pub fn next_ready_after(&mut self, now: Cycle) -> Cycle {
         let from = now + 1;
         if !self.l3_stalled.is_empty()
             || self.l3_fq.has_ready()
             || !self.wb_buf.is_empty()
-            || !self.l3_pq.is_empty()
+            || !self.l3_site.pq.is_empty()
         {
             return from;
         }
@@ -1468,7 +1295,7 @@ impl Uncore {
             t = t.min(d);
         }
         for l2 in &self.l2s {
-            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.pq.is_empty() {
+            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.site.pq.is_empty() {
                 return from;
             }
             if let Some(&(d, _)) = l2.ready_q.front() {
@@ -1499,7 +1326,6 @@ impl Uncore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PrefetcherHandle;
     use bosim_types::PageSize;
 
     fn uncore(prefetcher: PrefetcherHandle) -> Uncore {
@@ -1863,44 +1689,56 @@ mod tests {
         assert!(t.useful + t.unused_evicted <= t.prefetch_fills, "{t:?}");
     }
 
+    /// Applies `d` to site `at` for core 0.
+    fn apply(u: &mut Uncore, at: PrefetchSite, d: TuneDirective) -> bool {
+        u.reconfigure(at, CoreId(0), &d)
+    }
+
+    /// The name of the engine at site `at` for core 0, if any.
+    fn engine(u: &Uncore, at: PrefetchSite) -> Option<&'static str> {
+        u.prefetcher(at, CoreId(0)).map(|p| p.name())
+    }
+
     #[test]
     fn reconfigure_applies_directives_and_switches_prefetchers() {
+        use PrefetchSite::L2;
         let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetDegree(2)));
-        assert!(!u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetDegree(9)));
-        assert!(u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetEnabled(false)));
+        assert!(apply(&mut u, L2, TuneDirective::SetDegree(2)));
+        assert!(!apply(&mut u, L2, TuneDirective::SetDegree(9)));
+        assert!(apply(&mut u, L2, TuneDirective::SetEnabled(false)));
         // Switch to a registered prefetcher: fresh state, new name.
-        assert!(
-            u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SwitchPrefetcher("none".into()))
-        );
-        assert_eq!(u.l2_prefetcher(CoreId(0)).name(), "none");
+        let none = TuneDirective::SwitchPrefetcher("none".into());
+        assert!(apply(&mut u, L2, none));
+        assert_eq!(engine(&u, L2), Some("none"));
         // Unknown names are rejected, prefetcher unchanged.
-        assert!(!u.reconfigure_prefetcher(
-            CoreId(0),
-            &TuneDirective::SwitchPrefetcher("definitely-not-registered".into())
-        ));
-        assert_eq!(u.l2_prefetcher(CoreId(0)).name(), "none");
+        let unknown = TuneDirective::SwitchPrefetcher("definitely-not-registered".into());
+        assert!(!apply(&mut u, L2, unknown));
+        assert_eq!(engine(&u, L2), Some("none"));
     }
 
     #[test]
     fn empty_l3_site_rejects_every_directive() {
         // A configuration declared L3-prefetch-free must stay that way:
         // even a SwitchPrefetcher directive cannot conjure an engine
-        // into the empty site mid-run.
+        // into the empty site mid-run. The L1D site lives in the core,
+        // so the uncore has nothing to reconfigure there either.
         let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(u.l3_prefetcher().is_none());
-        for d in [
-            TuneDirective::SwitchPrefetcher("next-line".into()),
-            TuneDirective::SetEnabled(false),
-            TuneDirective::SetDegree(1),
-        ] {
-            assert!(!u.reconfigure_l3_prefetcher(&d), "{d}");
+        for at in [PrefetchSite::L3, PrefetchSite::L1D] {
+            assert_eq!(engine(&u, at), None);
+            for d in [
+                TuneDirective::SwitchPrefetcher("next-line".into()),
+                TuneDirective::SetEnabled(false),
+                TuneDirective::SetDegree(1),
+            ] {
+                assert!(!apply(&mut u, at, d.clone()), "{at:?} {d}");
+            }
+            assert_eq!(engine(&u, at), None, "site must stay empty");
         }
-        assert!(u.l3_prefetcher().is_none(), "site must stay empty");
     }
 
     #[test]
     fn occupied_l3_site_switches_and_gates() {
+        use PrefetchSite::L3;
         let cfg = SimConfig {
             active_cores: 1,
             page: PageSize::M4,
@@ -1909,11 +1747,13 @@ mod tests {
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
-        assert!(u.reconfigure_l3_prefetcher(&TuneDirective::SetEnabled(false)));
-        assert!(u.reconfigure_l3_prefetcher(&TuneDirective::SwitchPrefetcher("offset-4".into())));
-        assert_eq!(u.l3_prefetcher().expect("occupied").name(), "fixed-offset");
+        assert!(apply(&mut u, L3, TuneDirective::SetEnabled(false)));
+        let offset = TuneDirective::SwitchPrefetcher("offset-4".into());
+        assert!(apply(&mut u, L3, offset));
+        assert_eq!(engine(&u, L3), Some("fixed-offset"));
         // L1D-only specs cannot be switched into the L3 site.
-        assert!(!u.reconfigure_l3_prefetcher(&TuneDirective::SwitchPrefetcher("stride".into())));
+        let stride = TuneDirective::SwitchPrefetcher("stride".into());
+        assert!(!apply(&mut u, L3, stride));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Each *source* (the uncore is one source, every core is another)
 //! **posts** the next cycle at which it may have work whenever its own
 //! state changes; [`System`](crate::System) consults the wheel instead
-//! of re-deriving `next_work_cycle` / `next_event_cycle` bounds from
+//! of re-deriving `next_work_cycle` / `next_ready_after` bounds from
 //! scratch on every quiet cycle. A post is a *promise of idleness before
 //! it*, never a promise of work at it: the wheel may wake a source on a
 //! cycle where nothing happens (harmless — the tick is a no-op), but a

@@ -5,7 +5,6 @@
 //! DRAM accesses per kilo-instruction). This crate provides:
 //!
 //! * [`geometric_mean`] / [`speedup`] — the summary math,
-//! * [`Histogram`] — bounded-bucket latency/value histograms,
 //! * [`Table`] — plain-text/TSV/markdown table output used by every figure
 //!   harness,
 //! * [`RateStat`] — events per kilo-instruction helper.
@@ -22,13 +21,11 @@
 
 #![warn(missing_docs)]
 
-mod histogram;
 mod json;
 mod parse;
 mod summary;
 mod table;
 
-pub use histogram::Histogram;
 pub use json::Json;
 pub use parse::{DecodeError, JsonParseError};
 pub use summary::{geometric_mean, harmonic_mean, mean, speedup, RateStat};

@@ -30,11 +30,9 @@
 //! with no sources, so the synthetic stream adds no false dependences.
 
 use crate::record::{MemRef, MicroOp, Reg, UopKind};
-use crate::source::ReplaySource;
 use bosim_types::VirtAddr;
 use std::fmt;
 use std::io::{BufRead, Read};
-use std::path::Path;
 
 /// Direction of one raw access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,29 +278,10 @@ pub fn lower(accesses: &[RawAccess]) -> Vec<MicroOp> {
         .collect()
 }
 
-/// Loads a text address trace into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns I/O and parse errors (see [`AddrTraceError`]).
-pub fn load_text(path: &Path, name: &str) -> Result<ReplaySource, AddrTraceError> {
-    let accesses = parse_text(std::fs::File::open(path)?)?;
-    Ok(ReplaySource::new(name, lower(&accesses)))
-}
-
-/// Loads a binary address trace into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns I/O and parse errors (see [`AddrTraceError`]).
-pub fn load_binary(path: &Path, name: &str) -> Result<ReplaySource, AddrTraceError> {
-    let accesses = parse_binary(std::io::BufReader::new(std::fs::File::open(path)?))?;
-    Ok(ReplaySource::new(name, lower(&accesses)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExternalSpec, TraceFormat};
 
     #[test]
     fn text_parses_tags_prefixes_and_comments() {
@@ -415,8 +394,12 @@ mod tests {
         let acc = vec![(AccessDir::Read, 0x9000), (AccessDir::Write, 0x9040)];
         std::fs::write(&tpath, encode_text(&acc)).unwrap();
         std::fs::write(&bpath, encode_binary(&acc)).unwrap();
-        let t = load_text(&tpath, "t").unwrap();
-        let b = load_binary(&bpath, "b").unwrap();
+        let t = ExternalSpec::new(&tpath, TraceFormat::AddrText)
+            .load()
+            .unwrap();
+        let b = ExternalSpec::new(&bpath, TraceFormat::AddrBin)
+            .load()
+            .unwrap();
         assert_eq!(t.lap_len(), 2);
         assert_eq!(b.lap_len(), 2);
         let _ = std::fs::remove_file(&tpath);

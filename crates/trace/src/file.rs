@@ -1,8 +1,10 @@
 //! Binary trace serialisation.
 //!
 //! The paper's methodology stitches recorded trace samples (§5); this
-//! module provides an equivalent capability: capture any [`TraceSource`]
-//! prefix to a compact binary buffer or file and replay it later.
+//! module provides an equivalent capability: [`encode`] a captured
+//! [`TraceSource`](crate::TraceSource) prefix to a compact binary
+//! buffer, write it to a file, and replay it later through
+//! [`ExternalSpec::load`](crate::ExternalSpec::load).
 //!
 //! Format (little endian), per record (30 bytes fixed):
 //!
@@ -14,12 +16,8 @@
 //! A 16-byte header carries a magic, version and record count.
 
 use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind};
-use crate::source::{ReplaySource, TraceSource};
 use bosim_types::VirtAddr;
 use std::fmt;
-use std::fs::File;
-use std::io::{Read as _, Write as _};
-use std::path::Path;
 
 pub(crate) const MAGIC: u32 = 0xB05_7ACE;
 const VERSION: u16 = 1;
@@ -293,49 +291,11 @@ pub fn decode(buf: &[u8]) -> Result<Vec<MicroOp>, TraceFileError> {
     Ok(out)
 }
 
-/// Captures `n` µops from `src` and writes them to `path`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn record_to_file(
-    src: &mut dyn TraceSource,
-    n: usize,
-    path: &Path,
-) -> Result<(), TraceFileError> {
-    let uops = crate::source::capture(src, n);
-    let bytes = encode(&uops);
-    let mut f = File::create(path)?;
-    f.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Loads a trace file into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns decode or I/O errors; an empty trace is rejected as
-/// [`TraceFileError::Corrupt`].
-pub fn load_replay(path: &Path, name: &str) -> Result<ReplaySource, TraceFileError> {
-    let mut f = File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    let uops = decode(&buf)?;
-    if uops.is_empty() {
-        return Err(TraceFileError::Corrupt {
-            what: "empty trace",
-            record: 0,
-            offset: HEADER_BYTES,
-        });
-    }
-    Ok(ReplaySource::new(name, uops))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::capture;
-    use crate::suite;
+    use crate::{suite, ExternalSpec, TraceFormat};
 
     #[test]
     fn roundtrip_preserves_uops() {
@@ -408,8 +368,11 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("bosim_trace_test_{}.btrace", std::process::id()));
         let spec = suite::benchmark("456").unwrap();
-        record_to_file(&mut spec.build(), 500, &path).unwrap();
-        let mut replay = load_replay(&path, "456-replayed").unwrap();
+        std::fs::write(&path, encode(&capture(&mut spec.build(), 500))).unwrap();
+        let mut replay = ExternalSpec::new(&path, TraceFormat::Native)
+            .named("456-replayed")
+            .load()
+            .unwrap();
         assert_eq!(replay.lap_len(), 500);
         let replayed = capture(&mut replay, 500);
         let original = capture(&mut spec.build(), 500);
